@@ -2770,8 +2770,8 @@ impl NodeSim {
                             });
                         };
                         let base = unit * dim;
-                        let raw = self.regs.xbar_in(slot)[base..base + dim].to_vec();
-                        let shuffled = shuffle_input(&raw, filter, stride);
+                        let raw = &self.regs.xbar_in(slot)[base..base + dim];
+                        let shuffled = shuffle_input(raw, filter, stride);
                         let y = if analog {
                             mvmu.mvm_faulted(
                                 &shuffled,

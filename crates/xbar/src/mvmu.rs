@@ -5,6 +5,12 @@
 //! the offset-binary bias correction that maps signed weights onto
 //! non-negative conductances.
 //!
+//! The unit stores each weight once, as its signed Q4.12 bits. The bit-slice
+//! crossbars ([`CrossbarSlice`]) are derived from those bits on demand, only
+//! where a path needs them: by the bit-serial reference, and by write-noise
+//! programming, which perturbs every slice's conductances and collapses
+//! them into effective real-valued weights.
+//!
 //! Three evaluation paths are provided:
 //!
 //! - [`AnalogMvmu::mvm`] — dispatches to the fastest path that is exact for
@@ -47,14 +53,28 @@ fn quantize_adc(raw: i16, step: i64) -> i16 {
     q.clamp(i64::from(i16::MIN), i64::from(i16::MAX)) as i16
 }
 
+/// Rebuilds the effective real-valued weight matrix from programmed
+/// (noisy) slice conductances: `w_eff = Σ_s g_s · 2^(b·s) − offset`.
+fn reconstruct_effective(slices: &[CrossbarSlice], dim: usize) -> Vec<f64> {
+    let mut eff = vec![-(WEIGHT_OFFSET as f64); dim * dim];
+    for slice in slices {
+        let sig = slice.significance() as f64;
+        for row in 0..dim {
+            for col in 0..dim {
+                eff[row * dim + col] += sig * slice.conductance(row, col);
+            }
+        }
+    }
+    eff
+}
+
 /// Functional model of one logical MVMU (a stack of bit-slice crossbars).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalogMvmu {
     cfg: MvmuConfig,
-    /// Offset-binary encoded weights, row-major, `dim × dim` (zero-padded).
-    encoded: Vec<u16>,
-    /// The physical slices, least significant first.
-    slices: Vec<CrossbarSlice>,
+    /// Q4.12 weight bits, row-major, `dim × dim` (zero-padded) — the one
+    /// stored copy of the weights; slices are derived from it on demand.
+    weights: Vec<i16>,
     /// Effective real-valued weights reconstructed from noisy conductances
     /// (only populated when programmed with noise).
     effective: Option<Vec<f64>>,
@@ -73,12 +93,8 @@ impl AnalogMvmu {
     /// Returns [`PumaError::InvalidConfig`] if the configuration is invalid.
     pub fn new(cfg: MvmuConfig) -> Result<Self> {
         cfg.validate()?;
-        let slices = (0..cfg.slices())
-            .map(|s| CrossbarSlice::new(cfg.dim, cfg.bits_per_cell, s))
-            .collect::<Result<Vec<_>>>()?;
         Ok(AnalogMvmu {
-            encoded: vec![encode_weight(0); cfg.dim * cfg.dim],
-            slices,
+            weights: vec![0; cfg.dim * cfg.dim],
             effective: None,
             noise: NoiseModel::noiseless(),
             logical_rows: cfg.dim,
@@ -125,57 +141,57 @@ impl AnalogMvmu {
         }
         self.logical_rows = weights.rows();
         self.logical_cols = weights.cols();
-        for row in 0..dim {
-            for col in 0..dim {
-                let w = if row < weights.rows() && col < weights.cols() {
-                    weights.get(row, col).to_bits()
-                } else {
-                    0
-                };
-                let enc = encode_weight(w);
-                self.encoded[row * dim + col] = enc;
-                for (s, level) in slice_levels(enc, &self.cfg).into_iter().enumerate() {
-                    self.slices[s].write_cell(row, col, level);
-                }
+        // Clear, then copy the logical rows × cols: a reprogrammed unit
+        // keeps no stale weight in its padding.
+        self.weights.fill(0);
+        let cols = weights.cols();
+        for (r, dst) in self.weights.chunks_exact_mut(dim).take(weights.rows()).enumerate() {
+            let src = &weights.as_slice()[r * cols..(r + 1) * cols];
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = s.to_bits();
             }
         }
         self.noise = noise.clone();
-        if noise.is_noiseless() {
-            self.effective = None;
+        self.effective = if noise.is_noiseless() {
+            None
         } else {
-            for slice in &mut self.slices {
-                noise.apply(slice);
-            }
-            self.effective = Some(self.reconstruct_effective());
-        }
+            Some(reconstruct_effective(&self.programmed_slices(), dim))
+        };
         Ok(())
     }
 
-    /// Rebuilds the effective real-valued weight matrix from programmed
-    /// (noisy) conductances: `w_eff = Σ_s g_s · 2^(b·s) − offset`.
-    fn reconstruct_effective(&self) -> Vec<f64> {
+    /// Derives the physical slices (least significant first) from the
+    /// stored weights: each cell's offset-binary word split into
+    /// `bits_per_cell`-wide levels, then the programming noise applied to
+    /// every slice in slice order — the same levels and the same noise
+    /// stream as writing the slices at program time.
+    fn programmed_slices(&self) -> Vec<CrossbarSlice> {
         let dim = self.cfg.dim;
-        let mut eff = vec![-(WEIGHT_OFFSET as f64); dim * dim];
-        for slice in &self.slices {
-            let sig = slice.significance() as f64;
-            for row in 0..dim {
-                for col in 0..dim {
-                    eff[row * dim + col] += sig * slice.conductance(row, col);
-                }
+        let mut slices: Vec<CrossbarSlice> = (0..self.cfg.slices())
+            .map(|s| {
+                CrossbarSlice::new(dim, self.cfg.bits_per_cell, s)
+                    .expect("a validated MVMU config yields valid slices")
+            })
+            .collect();
+        for (idx, &w) in self.weights.iter().enumerate() {
+            for (slice, level) in slices.iter_mut().zip(slice_levels(encode_weight(w), &self.cfg)) {
+                slice.write_cell(idx / dim, idx % dim, level);
             }
         }
-        eff
+        for slice in &mut slices {
+            self.noise.apply(slice);
+        }
+        slices
     }
 
-    /// The ideal stored weight at `(row, col)` (decoded from the encoded
-    /// form; independent of noise).
+    /// The ideal stored weight at `(row, col)` (independent of noise).
     ///
     /// # Panics
     ///
     /// Panics if indices exceed the crossbar dimension.
     pub fn weight(&self, row: usize, col: usize) -> Fixed {
         assert!(row < self.cfg.dim && col < self.cfg.dim, "index out of bounds");
-        Fixed::from_bits(crate::slice::decode_weight(self.encoded[row * self.cfg.dim + col]))
+        Fixed::from_bits(self.weights[row * self.cfg.dim + col])
     }
 
     /// Computes the MVM, choosing the fastest path that is faithful to the
@@ -193,10 +209,11 @@ impl AnalogMvmu {
         }
     }
 
-    /// Exact integer path: 64-bit accumulation against the encoded weights
-    /// with offset correction. Bit-identical to the bit-serial pipeline on
-    /// noiseless hardware (verified by tests), but one pass instead of
-    /// 16 phases × slices.
+    /// Exact integer path: 64-bit accumulation of `Σ x·w` against the
+    /// stored signed weights. This equals the offset-binary crossbar sum
+    /// `Σ x·(w + offset)` less its `offset·Σ x` correction, so it is
+    /// bit-identical to the bit-serial pipeline on noiseless hardware
+    /// (verified by tests), but one pass instead of 16 phases × slices.
     ///
     /// # Errors
     ///
@@ -207,23 +224,16 @@ impl AnalogMvmu {
             return Err(PumaError::ShapeMismatch { expected: dim, actual: input.len() });
         }
         let mut acc = vec![0i64; dim];
-        let mut input_sum: i64 = 0;
-        for (row, &x) in input.iter().enumerate() {
-            let xb = x.to_bits() as i64;
+        for (&x, row) in input.iter().zip(self.weights.chunks_exact(dim)) {
+            let xb = i64::from(x.to_bits());
             if xb == 0 {
                 continue;
             }
-            input_sum += xb;
-            let base = row * dim;
-            for (col, a) in acc.iter_mut().enumerate() {
-                *a += xb * self.encoded[base + col] as i64;
+            for (a, &w) in acc.iter_mut().zip(row) {
+                *a += xb * i64::from(w);
             }
         }
-        let correction = WEIGHT_OFFSET * input_sum;
-        Ok(acc
-            .into_iter()
-            .map(|a| Fixed::from_bits(narrow_accumulator(a - correction, FRAC_BITS)))
-            .collect())
+        Ok(acc.into_iter().map(|a| Fixed::from_bits(narrow_accumulator(a, FRAC_BITS))).collect())
     }
 
     /// Reference bit-serial pipeline (Fig. 2b): for each of the 16 input
@@ -232,7 +242,10 @@ impl AnalogMvmu {
     /// into the accumulator; finally apply the offset correction and narrow
     /// to Q4.12.
     ///
-    /// Uses programmed (possibly noisy) conductances.
+    /// Derives the slices from the stored weights on every call, with the
+    /// programming noise of the last [`AnalogMvmu::program`] applied, so it
+    /// reads the same (possibly noisy) conductances the effective-weight
+    /// paths were built from.
     ///
     /// # Errors
     ///
@@ -242,6 +255,7 @@ impl AnalogMvmu {
         if input.len() != dim {
             return Err(PumaError::ShapeMismatch { expected: dim, actual: input.len() });
         }
+        let slices = self.programmed_slices();
         let adc_max = (1u64 << self.cfg.adc_bits()) - 1;
         let mut acc = vec![0i64; dim];
         let mut bits = vec![false; dim];
@@ -251,7 +265,7 @@ impl AnalogMvmu {
             }
             // Two's complement: bit 15 carries negative weight.
             let phase_weight: i64 = if phase == 15 { -(1i64 << 15) } else { 1i64 << phase };
-            for slice in &self.slices {
+            for slice in &slices {
                 let sums = slice.column_sums_programmed(&bits);
                 let sig = slice.significance() as i64;
                 for (col, &current) in sums.iter().enumerate() {
@@ -367,8 +381,10 @@ impl AnalogMvmu {
         }
         // Read noise perturbs every slice independently, so one weight
         // sees a sigma of the per-level sigma times sqrt(Σ_s sig_s²).
-        let agg_sig =
-            self.slices.iter().map(|s| (s.significance() as f64).powi(2)).sum::<f64>().sqrt();
+        let agg_sig = (0..self.cfg.slices())
+            .map(|s| f64::from(1u32 << (self.cfg.bits_per_cell * s)).powi(2))
+            .sum::<f64>()
+            .sqrt();
         let sigma_w =
             NoiseModel::new(ni.read_sigma, 0).level_sigma(self.cfg.bits_per_cell) * agg_sig;
         let tau = if ni.drift_nu > 0.0 {
@@ -405,10 +421,10 @@ impl AnalogMvmu {
                     continue;
                 }
                 // Base effective weight: write-noisy when programmed so,
-                // otherwise the ideal decode.
+                // otherwise the ideal stored weight.
                 let w = match eff {
                     Some(e) => e[idx],
-                    None => f64::from(self.encoded[idx]) - offset,
+                    None => f64::from(self.weights[idx]),
                 };
                 let mut wp = w;
                 if tau > 0.0 {
@@ -758,6 +774,118 @@ mod tests {
         let exact = mvmu.mvm_exact(&x).unwrap();
         let dead = out.iter().zip(&exact).filter(|(a, b)| a != b).count();
         assert!(dead > 0 && dead < 16, "expected a partial kill, got {dead}/16");
+    }
+
+    #[test]
+    fn reprogramming_a_smaller_matrix_clears_the_padding() {
+        let mut mvmu = AnalogMvmu::new(small_cfg()).unwrap();
+        mvmu.program(&test_matrix(16, 16), &NoiseModel::noiseless()).unwrap();
+        let small = test_matrix(5, 7);
+        mvmu.program(&small, &NoiseModel::noiseless()).unwrap();
+        assert_eq!(mvmu.logical_shape(), (5, 7));
+        for r in 0..16 {
+            for c in 0..16 {
+                let want = if r < 5 && c < 7 { small.get(r, c) } else { Fixed::ZERO };
+                assert_eq!(mvmu.weight(r, c), want, "cell ({r}, {c})");
+            }
+        }
+        let mut padded = FixedMatrix::zeros(16, 16).unwrap();
+        for r in 0..5 {
+            for c in 0..7 {
+                padded.set(r, c, small.get(r, c));
+            }
+        }
+        let x = test_input(16);
+        let want = padded.mvm_exact(&x).unwrap();
+        assert_eq!(mvmu.mvm(&x).unwrap(), want);
+        assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), want);
+    }
+
+    /// The write-noisy unit as it was built when every slice was stored:
+    /// per-cell writes of each slice's level, then the noise applied slice
+    /// by slice, then `w_eff = Σ_s sig_s · g_s − 32768`.
+    fn stored_slice_unit(
+        m: &FixedMatrix,
+        cfg: &MvmuConfig,
+        noise: &NoiseModel,
+    ) -> (Vec<CrossbarSlice>, Vec<f64>) {
+        let dim = cfg.dim;
+        let mut slices: Vec<CrossbarSlice> = (0..cfg.slices())
+            .map(|s| CrossbarSlice::new(dim, cfg.bits_per_cell, s).unwrap())
+            .collect();
+        for row in 0..dim {
+            for col in 0..dim {
+                let w =
+                    if row < m.rows() && col < m.cols() { m.get(row, col).to_bits() } else { 0 };
+                for (s, level) in slice_levels(encode_weight(w), cfg).into_iter().enumerate() {
+                    slices[s].write_cell(row, col, level);
+                }
+            }
+        }
+        for slice in &mut slices {
+            noise.apply(slice);
+        }
+        let mut eff = vec![-32768.0f64; dim * dim];
+        for slice in &slices {
+            let sig = slice.significance() as f64;
+            for row in 0..dim {
+                for col in 0..dim {
+                    eff[row * dim + col] += sig * slice.conductance(row, col);
+                }
+            }
+        }
+        (slices, eff)
+    }
+
+    #[test]
+    fn write_noise_realization_matches_stored_slices() {
+        let m = test_matrix(13, 11);
+        let x = test_input(16);
+        for bits in [2u32, 6] {
+            let cfg = MvmuConfig { bits_per_cell: bits, ..small_cfg() };
+            for seed in [1u64, 7, 99] {
+                let noise = NoiseModel::new(0.2, seed);
+                let mut mvmu = AnalogMvmu::new(cfg).unwrap();
+                mvmu.program(&m, &noise).unwrap();
+                let (slices, eff) = stored_slice_unit(&m, &cfg, &noise);
+
+                // The effective-weight MVM over the stored-slice weights.
+                let mut acc = vec![0.0f64; 16];
+                for (row, v) in x.iter().enumerate() {
+                    for (col, a) in acc.iter_mut().enumerate() {
+                        *a += f64::from(v.to_bits()) * eff[row * 16 + col];
+                    }
+                }
+                let fast: Vec<Fixed> = acc
+                    .into_iter()
+                    .map(|a| Fixed::from_bits(narrow_accumulator(a.round() as i64, FRAC_BITS)))
+                    .collect();
+                assert_eq!(mvmu.mvm_noisy_fast(&x).unwrap(), fast, "bits {bits} seed {seed}");
+                let ni = NonIdealityConfig::ideal();
+                assert_eq!(mvmu.mvm_degraded(&x, &ni, 0, 0).unwrap(), fast);
+
+                // The bit-serial pipeline over the stored slices.
+                let adc_max = ((1u64 << cfg.adc_bits()) - 1) as f64;
+                let mut acc = vec![0i64; 16];
+                for phase in 0..16u32 {
+                    let on: Vec<bool> =
+                        x.iter().map(|v| (v.to_bits() as u16) & (1 << phase) != 0).collect();
+                    let pw = if phase == 15 { -(1i64 << 15) } else { 1i64 << phase };
+                    for slice in &slices {
+                        let sig = i64::from(slice.significance());
+                        for (a, g) in acc.iter_mut().zip(slice.column_sums_programmed(&on)) {
+                            *a += pw * sig * g.round().clamp(0.0, adc_max) as i64;
+                        }
+                    }
+                }
+                let x_sum: i64 = x.iter().map(|v| i64::from(v.to_bits())).sum();
+                let serial: Vec<Fixed> = acc
+                    .into_iter()
+                    .map(|a| Fixed::from_bits(narrow_accumulator(a - 32768 * x_sum, FRAC_BITS)))
+                    .collect();
+                assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), serial, "bits {bits} seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,37 @@
 use proptest::prelude::*;
 use puma_core::config::MvmuConfig;
 use puma_core::fixed::Fixed;
-use puma_core::tensor::Matrix;
+use puma_core::tensor::{FixedMatrix, Matrix};
 use puma_xbar::slice::{decode_weight, encode_weight, reconstruct_levels, slice_levels};
 use puma_xbar::{AnalogMvmu, NoiseModel};
+
+/// Raw Q4.12 bits, with the two's-complement extremes drawn often.
+fn raw_bits() -> impl Strategy<Value = i16> {
+    (any::<i16>(), 0u8..16).prop_map(|(w, k)| match k {
+        0 => i16::MIN,
+        1 => i16::MAX,
+        _ => w,
+    })
+}
+
+/// Programs `m` (zero-padded) into a 16×16 unit of `bits` per cell and
+/// checks the exact and bit-serial paths against the digital reference.
+fn assert_analog_equals_digital(m: &FixedMatrix, x: &[Fixed], bits: u32) {
+    let dim = 16usize;
+    let cfg = MvmuConfig { dim, bits_per_cell: bits, ..MvmuConfig::default() };
+    let mut mvmu = AnalogMvmu::new(cfg).unwrap();
+    mvmu.program(m, &NoiseModel::noiseless()).unwrap();
+    let mut padded = FixedMatrix::zeros(dim, dim).unwrap();
+    for r in 0..m.rows() {
+        for c in 0..m.cols() {
+            padded.set(r, c, m.get(r, c));
+        }
+    }
+    let digital = padded.mvm_exact(x).unwrap();
+    assert_eq!(mvmu.mvm_exact(x).unwrap(), digital, "exact, {bits} bits/cell");
+    assert_eq!(mvmu.mvm_bit_serial(x).unwrap(), digital, "bit-serial, {bits} bits/cell");
+    assert_eq!(&digital[..m.cols()], m.mvm_exact(&x[..m.rows()]).unwrap().as_slice());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -26,22 +54,31 @@ proptest! {
     #[test]
     fn analog_equals_digital_for_any_weights(
         seed in 0u64..10_000,
-        bits in prop::sample::select(vec![1u32, 2, 4]),
+        (rows, cols, raw_weights) in (1usize..=16, 1usize..=16).prop_flat_map(|(r, c)| {
+            (Just(r), Just(c), prop::collection::vec(raw_bits(), r * c..r * c + 1))
+        }),
+        raw_input in prop::collection::vec(raw_bits(), 16..17),
+        bits in 1u32..=6,
     ) {
+        // Every cell precision, also 3, 5 and 6 bits, whose slices do not
+        // divide the 16-bit word. First a smooth in-range 16×16 matrix...
         let dim = 16usize;
-        let cfg = MvmuConfig { dim, bits_per_cell: bits, ..MvmuConfig::default() };
         let m = Matrix::from_fn(dim, dim, |r, c| {
             let h = (r as u64 * 31 + c as u64 * 17) ^ seed;
             ((h % 97) as f32 / 97.0 - 0.5) * 2.0
         })
         .quantize();
-        let mut mvmu = AnalogMvmu::new(cfg).unwrap();
-        mvmu.program(&m, &NoiseModel::noiseless()).unwrap();
         let x: Vec<Fixed> = (0..dim)
             .map(|i| Fixed::from_f32((((i as u64) ^ seed) % 23) as f32 / 23.0 - 0.5))
             .collect();
-        prop_assert_eq!(mvmu.mvm_exact(&x).unwrap(), m.mvm_exact(&x).unwrap());
-        prop_assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), m.mvm_exact(&x).unwrap());
+        assert_analog_equals_digital(&m, &x, bits);
+        // ...then raw Q4.12 bits (extremes included) in a padded shape.
+        let mut m = FixedMatrix::zeros(rows, cols).unwrap();
+        for (i, &w) in raw_weights.iter().enumerate() {
+            m.set(i / cols, i % cols, Fixed::from_bits(w));
+        }
+        let x: Vec<Fixed> = raw_input.into_iter().map(Fixed::from_bits).collect();
+        assert_analog_equals_digital(&m, &x, bits);
     }
 
     #[test]
