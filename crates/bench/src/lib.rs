@@ -30,6 +30,7 @@
 //! coverage.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod json;
 

@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod accuracy;
 pub mod cnn;

@@ -461,6 +461,9 @@ pub struct NodeSim {
     changes: Vec<TileChange>,
     /// Scratch for wake batches (reused so waking allocates nothing).
     wake_scratch: Vec<(AgentId, u64)>,
+    /// Scratch for one shuffled MVM input (reused so an MVM allocates
+    /// nothing).
+    mvm_input: Vec<Fixed>,
     /// Run-ahead continuations: agents that became runnable during the
     /// current [`NodeSim::step_one`] — woken waiters *and* the running
     /// agent's own deferred re-entry — and may resume *inline*, without a
@@ -876,6 +879,7 @@ impl NodeSim {
             seq: 0,
             changes: Vec::new(),
             wake_scratch: Vec::new(),
+            mvm_input: Vec::new(),
             continuations: Vec::new(),
             queue: BucketQueue::new(),
             tile_next: vec![Vec::new(); tile_count],
@@ -967,6 +971,7 @@ impl NodeSim {
             seq: 0,
             changes: Vec::new(),
             wake_scratch: Vec::new(),
+            mvm_input: Vec::new(),
             continuations: Vec::new(),
             queue: BucketQueue::new(),
             tile_next: vec![Vec::new(); tile_count],
@@ -2771,19 +2776,19 @@ impl NodeSim {
                         };
                         let base = unit * dim;
                         let raw = &self.regs.xbar_in(slot)[base..base + dim];
-                        let shuffled = shuffle_input(raw, filter, stride);
-                        let y = if analog {
-                            mvmu.mvm_faulted(
-                                &shuffled,
+                        shuffle_input(raw, filter, stride, &mut self.mvm_input);
+                        let out = &mut self.regs.xbar_out_mut(slot)[base..base + dim];
+                        if analog {
+                            out.copy_from_slice(&mvmu.mvm_faulted(
+                                &self.mvm_input,
                                 &ni,
                                 &self.cfg.faults,
                                 site_base + unit as u64,
                                 rel_cycle,
-                            )?
+                            )?);
                         } else {
-                            mvmu.mvm(&shuffled)?
-                        };
-                        self.regs.xbar_out_mut(slot)[base..base + dim].copy_from_slice(&y);
+                            mvmu.mvm_into(&self.mvm_input, out)?;
+                        }
                     }
                     if self.non_ideal_mvm {
                         self.stats.degraded_mvm_activations += mask.count() as u64;
@@ -3074,17 +3079,17 @@ fn send_graph(
     (senders_to, min_direct, min_indirect)
 }
 
-/// Applies MVM input shuffling (§3.2.3): the first `filter` XbarIn words
-/// form a ring that is rotated left by `stride` positions (rows past the
-/// filter see zero). Rotating modulo the *active window* lets a sliding
-/// window reuse its overlap without physical data movement: the core
-/// overwrites only the departed columns and bumps the stride.
-fn shuffle_input(raw: &[Fixed], filter: u16, stride: u16) -> Vec<Fixed> {
+/// Applies MVM input shuffling (§3.2.3) into `out`: the first `filter`
+/// XbarIn words form a ring that is rotated left by `stride` positions
+/// (rows past the filter see zero). Rotating modulo the *active window*
+/// lets a sliding window reuse its overlap without physical data movement:
+/// the core overwrites only the departed columns and bumps the stride.
+fn shuffle_input(raw: &[Fixed], filter: u16, stride: u16, out: &mut Vec<Fixed>) {
     let dim = raw.len();
     let active = if filter == 0 { dim } else { (filter as usize).min(dim) };
-    (0..dim)
-        .map(|i| if i < active { raw[(i + stride as usize) % active] } else { Fixed::ZERO })
-        .collect()
+    out.clear();
+    out.extend((0..active).map(|i| raw[(i + stride as usize) % active]));
+    out.resize(dim, Fixed::ZERO);
 }
 
 #[cfg(test)]
@@ -3348,14 +3353,19 @@ halt
     #[test]
     fn input_shuffle_rotates_and_filters() {
         let raw: Vec<Fixed> = (0..8).map(|i| Fixed::from_bits(i as i16)).collect();
-        let rotated = shuffle_input(&raw, 0, 2);
-        assert_eq!(rotated[0].to_bits(), 2);
-        assert_eq!(rotated[7].to_bits(), 1);
-        let filtered = shuffle_input(&raw, 3, 0);
-        assert_eq!(filtered[2].to_bits(), 2);
-        assert_eq!(filtered[3], Fixed::ZERO);
+        // One reused buffer, as in the simulator: each call overwrites it.
+        let mut out = Vec::new();
+        shuffle_input(&raw, 0, 2, &mut out);
+        assert_eq!(out.len(), 8);
+        assert_eq!(out[0].to_bits(), 2);
+        assert_eq!(out[7].to_bits(), 1);
+        shuffle_input(&raw, 3, 0, &mut out);
+        assert_eq!(out.len(), 8);
+        assert_eq!(out[2].to_bits(), 2);
+        assert_eq!(out[3], Fixed::ZERO);
         // Rotation wraps modulo the active window, not the full register.
-        let ring = shuffle_input(&raw, 3, 2);
+        shuffle_input(&raw, 3, 2, &mut out);
+        let ring = &out;
         assert_eq!(ring[0].to_bits(), 2);
         assert_eq!(ring[1].to_bits(), 0);
         assert_eq!(ring[2].to_bits(), 1);

@@ -11,17 +11,37 @@
 //! programming, which perturbs every slice's conductances and collapses
 //! them into effective real-valued weights.
 //!
-//! Three evaluation paths are provided:
+//! Six evaluation paths are provided:
 //!
-//! - [`AnalogMvmu::mvm`] — dispatches to the fastest path that is exact for
-//!   the configured noise level;
+//! - [`AnalogMvmu::mvm`] (and [`AnalogMvmu::mvm_into`]) — dispatches to
+//!   the fastest path that is exact for the programming noise: the exact
+//!   integer path when programming was noiseless, otherwise the
+//!   effective-weight path. This is the path the simulator runs on an
+//!   ideal device;
+//! - [`AnalogMvmu::mvm_exact`] — one `i64` accumulation of `Σ x·w`
+//!   against the stored weights, bit-exact with
+//!   [`puma_core::tensor::FixedMatrix::mvm_exact`];
 //! - [`AnalogMvmu::mvm_bit_serial`] — the reference pipeline: 16 DAC
 //!   phases × per-slice analog column sums × ADC quantization (with
 //!   clamping) × shift-and-add. With noiseless programming this is
 //!   bit-exact with [`puma_core::tensor::FixedMatrix::mvm_exact`];
 //! - [`AnalogMvmu::mvm_noisy_fast`] — collapses the noisy conductances into
 //!   an effective real-valued weight matrix once at program time, then does
-//!   a single `f64` MVM per call (used by the Fig. 13 accuracy sweeps).
+//!   a single `f64` MVM per call (used by the Fig. 13 accuracy sweeps);
+//! - [`AnalogMvmu::mvm_degraded`] — the effective-weight MVM with the
+//!   read noise, drift, IR drop and ADC narrowing of a
+//!   [`NonIdealityConfig`]; the simulator runs it when that config is not
+//!   ideal;
+//! - [`AnalogMvmu::mvm_faulted`] — the degraded path with a [`FaultPlan`]'s
+//!   stuck cells and dead columns on top; the simulator runs it when the
+//!   plan is not empty.
+//!
+//! The exact path's kernel is integer-only and compiled twice: a portable
+//! instance for the default target and an AVX2 instance. Each call runs the
+//! AVX2 instance when the running CPU reports AVX2
+//! (`is_x86_feature_detected!`), the portable one otherwise. Both sum every
+//! column in `i64` in row order, so the result is bit-identical on every
+//! host.
 
 use crate::noise::{keyed_gaussian, keyed_hash, unit_from, NoiseModel};
 use crate::slice::{encode_weight, slice_levels, CrossbarSlice};
@@ -66,6 +86,68 @@ fn reconstruct_effective(slices: &[CrossbarSlice], dim: usize) -> Vec<f64> {
         }
     }
     eff
+}
+
+/// Column-block width of the exact kernel. A `[i64; 32]` block
+/// accumulator stays in vector registers across the whole row loop.
+const BLOCK: usize = 32;
+
+/// The exact MVM: `out[c] = narrow(Σ_r x_r · w[r][c])` over the row-major
+/// `out.len()`-square `weights`, accumulated in `i64` in row order, one
+/// block of `W` columns at a time (`W` must divide `out.len()`).
+/// Integer-only, so every compiled instance returns the same bits.
+#[inline(always)]
+fn exact_blocks<const W: usize>(out: &mut [Fixed], input: &[Fixed], weights: &[i16]) {
+    let dim = out.len();
+    for (block, out) in out.chunks_exact_mut(W).enumerate() {
+        let mut acc = [0i64; W];
+        for (&x, row) in input.iter().zip(weights.chunks_exact(dim)) {
+            let xb = i64::from(x.to_bits());
+            if xb == 0 {
+                continue;
+            }
+            for (a, &w) in acc.iter_mut().zip(&row.as_chunks::<W>().0[block]) {
+                *a += xb * i64::from(w);
+            }
+        }
+        for (y, a) in out.iter_mut().zip(acc) {
+            *y = Fixed::from_bits(narrow_accumulator(a, FRAC_BITS));
+        }
+    }
+}
+
+/// The portable instance of the exact kernel. Dimensions are powers of
+/// two, so a unit narrower than [`BLOCK`] falls back to single columns.
+#[inline(always)]
+fn exact_portable(out: &mut [Fixed], input: &[Fixed], weights: &[i16]) {
+    if out.len() >= BLOCK {
+        exact_blocks::<BLOCK>(out, input, weights);
+    } else {
+        exact_blocks::<1>(out, input, weights);
+    }
+}
+
+/// The same kernel body compiled for AVX2, which has the 256-bit integer
+/// lanes the default x86-64 target lacks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn exact_avx2(out: &mut [Fixed], input: &[Fixed], weights: &[i16]) {
+    exact_portable(out, input, weights);
+}
+
+/// Runs the AVX2 instance of the exact kernel when the CPU has AVX2, the
+/// portable one otherwise. The feature check is a cached load, made once
+/// per call.
+#[allow(unsafe_code)]
+fn exact_mvm(out: &mut [Fixed], input: &[Fixed], weights: &[i16]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `exact_avx2` is safe code whose only precondition is
+        // that the running CPU supports AVX2, which the
+        // `is_x86_feature_detected!("avx2")` check above has confirmed.
+        return unsafe { exact_avx2(out, input, weights) };
+    }
+    exact_portable(out, input, weights);
 }
 
 /// Functional model of one logical MVMU (a stack of bit-slice crossbars).
@@ -209,6 +291,23 @@ impl AnalogMvmu {
         }
     }
 
+    /// [`AnalogMvmu::mvm`] written into `out` (`dim` words); the exact
+    /// path allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PumaError::ShapeMismatch`] if `input` or `out` is not
+    /// `dim` long.
+    pub fn mvm_into(&self, input: &[Fixed], out: &mut [Fixed]) -> Result<()> {
+        if self.effective.is_some() {
+            self.check_len(out.len())?;
+            out.copy_from_slice(&self.mvm_noisy_fast(input)?);
+            Ok(())
+        } else {
+            self.mvm_exact_into(input, out)
+        }
+    }
+
     /// Exact integer path: 64-bit accumulation of `Σ x·w` against the
     /// stored signed weights. This equals the offset-binary crossbar sum
     /// `Σ x·(w + offset)` less its `offset·Σ x` correction, so it is
@@ -219,21 +318,26 @@ impl AnalogMvmu {
     ///
     /// Returns [`PumaError::ShapeMismatch`] if `input.len() != dim`.
     pub fn mvm_exact(&self, input: &[Fixed]) -> Result<Vec<Fixed>> {
-        let dim = self.cfg.dim;
-        if input.len() != dim {
-            return Err(PumaError::ShapeMismatch { expected: dim, actual: input.len() });
+        let mut out = vec![Fixed::ZERO; self.cfg.dim];
+        self.mvm_exact_into(input, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`AnalogMvmu::mvm_exact`] written into `out` (`dim` words), without
+    /// allocating.
+    fn mvm_exact_into(&self, input: &[Fixed], out: &mut [Fixed]) -> Result<()> {
+        self.check_len(input.len())?;
+        self.check_len(out.len())?;
+        exact_mvm(out, input, &self.weights);
+        Ok(())
+    }
+
+    fn check_len(&self, len: usize) -> Result<()> {
+        if len == self.cfg.dim {
+            Ok(())
+        } else {
+            Err(PumaError::ShapeMismatch { expected: self.cfg.dim, actual: len })
         }
-        let mut acc = vec![0i64; dim];
-        for (&x, row) in input.iter().zip(self.weights.chunks_exact(dim)) {
-            let xb = i64::from(x.to_bits());
-            if xb == 0 {
-                continue;
-            }
-            for (a, &w) in acc.iter_mut().zip(row) {
-                *a += xb * i64::from(w);
-            }
-        }
-        Ok(acc.into_iter().map(|a| Fixed::from_bits(narrow_accumulator(a, FRAC_BITS))).collect())
     }
 
     /// Reference bit-serial pipeline (Fig. 2b): for each of the 16 input
@@ -799,6 +903,74 @@ mod tests {
         let want = padded.mvm_exact(&x).unwrap();
         assert_eq!(mvmu.mvm(&x).unwrap(), want);
         assert_eq!(mvmu.mvm_bit_serial(&x).unwrap(), want);
+    }
+
+    /// A `rows × cols` matrix of raw Q4.12 bits.
+    fn raw_matrix(rows: usize, cols: usize, bits: impl Fn(usize, usize) -> i16) -> FixedMatrix {
+        let mut m = FixedMatrix::zeros(rows, cols).unwrap();
+        for r in 0..rows {
+            for c in 0..cols {
+                m.set(r, c, Fixed::from_bits(bits(r, c)));
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn kernel_instances_agree_at_full_width() {
+        // The real crossbar size. On an AVX2 host the dispatcher runs the
+        // AVX2 instance, so this test is the portable body's only coverage
+        // there.
+        let dim = MvmuConfig::default().dim;
+        assert_eq!(dim, 128);
+        let check = |m: &FixedMatrix, x: &[Fixed], what: &str| {
+            let mut mvmu = AnalogMvmu::new(MvmuConfig::default()).unwrap();
+            mvmu.program(m, &NoiseModel::noiseless()).unwrap();
+            let padded = raw_matrix(dim, dim, |r, c| {
+                if r < m.rows() && c < m.cols() {
+                    m.get(r, c).to_bits()
+                } else {
+                    0
+                }
+            });
+            let oracle = padded.mvm_exact(x).unwrap();
+            let mut portable = vec![Fixed::ZERO; dim];
+            exact_portable(&mut portable, x, &mvmu.weights);
+            let mut dispatched = vec![Fixed::ZERO; dim];
+            exact_mvm(&mut dispatched, x, &mvmu.weights);
+            assert_eq!(portable, oracle, "portable instance, {what}");
+            assert_eq!(dispatched, oracle, "dispatched instance, {what}");
+        };
+
+        // Column sums near ±2^37: every product is ±2^30 (or just under),
+        // and alternating inputs cancel them back to a small exact sum.
+        let all_min = raw_matrix(dim, dim, |_, _| i16::MIN);
+        let alternating: Vec<Fixed> = (0..dim)
+            .map(|i| Fixed::from_bits(if i % 2 == 0 { i16::MIN } else { i16::MAX }))
+            .collect();
+        for (x, what) in [
+            (vec![Fixed::from_bits(i16::MIN); dim], "i16::MIN inputs"),
+            (vec![Fixed::from_bits(i16::MAX); dim], "i16::MAX inputs"),
+            (alternating, "alternating extremes"),
+        ] {
+            check(&all_min, &x, what);
+        }
+
+        // Pseudo-random raw bits, every other input row zero, then the
+        // same matrix at a padded 96×100 logical shape.
+        let hash =
+            |r: usize, c: usize| ((r * 7919 + c * 104_729) as u32).wrapping_mul(2_654_435_761);
+        let full = raw_matrix(dim, dim, |r, c| (hash(r, c) >> 16) as u16 as i16);
+        let sparse: Vec<Fixed> = (0..dim)
+            .map(|i| Fixed::from_bits(if i % 2 == 0 { 0 } else { (hash(i, 0) >> 8) as u16 as i16 }))
+            .collect();
+        check(&full, &sparse, "zero input rows");
+        check(&full, &vec![Fixed::ZERO; dim], "all-zero input");
+        let logical = raw_matrix(96, 100, |r, c| full.get(r, c).to_bits());
+        let mut x: Vec<Fixed> =
+            (0..96).map(|i| Fixed::from_bits((hash(0, i) >> 16) as u16 as i16)).collect();
+        x.resize(dim, Fixed::ZERO);
+        check(&logical, &x, "padded 96x100");
     }
 
     /// The write-noisy unit as it was built when every slice was stored:

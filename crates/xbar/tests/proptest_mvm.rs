@@ -18,10 +18,9 @@ fn raw_bits() -> impl Strategy<Value = i16> {
     })
 }
 
-/// Programs `m` (zero-padded) into a 16×16 unit of `bits` per cell and
-/// checks the exact and bit-serial paths against the digital reference.
-fn assert_analog_equals_digital(m: &FixedMatrix, x: &[Fixed], bits: u32) {
-    let dim = 16usize;
+/// Programs `m` (zero-padded) into a `dim`-square unit of `bits` per cell
+/// and returns it with the digital reference output for `x`.
+fn padded_unit(m: &FixedMatrix, x: &[Fixed], dim: usize, bits: u32) -> (AnalogMvmu, Vec<Fixed>) {
     let cfg = MvmuConfig { dim, bits_per_cell: bits, ..MvmuConfig::default() };
     let mut mvmu = AnalogMvmu::new(cfg).unwrap();
     mvmu.program(m, &NoiseModel::noiseless()).unwrap();
@@ -32,9 +31,25 @@ fn assert_analog_equals_digital(m: &FixedMatrix, x: &[Fixed], bits: u32) {
         }
     }
     let digital = padded.mvm_exact(x).unwrap();
+    assert_eq!(&digital[..m.cols()], m.mvm_exact(&x[..m.rows()]).unwrap().as_slice());
+    (mvmu, digital)
+}
+
+/// Checks the exact and bit-serial paths of a 16×16 unit against the
+/// digital reference.
+fn assert_analog_equals_digital(m: &FixedMatrix, x: &[Fixed], bits: u32) {
+    let (mvmu, digital) = padded_unit(m, x, 16, bits);
     assert_eq!(mvmu.mvm_exact(x).unwrap(), digital, "exact, {bits} bits/cell");
     assert_eq!(mvmu.mvm_bit_serial(x).unwrap(), digital, "bit-serial, {bits} bits/cell");
-    assert_eq!(&digital[..m.cols()], m.mvm_exact(&x[..m.rows()]).unwrap().as_slice());
+}
+
+/// A `rows × cols` matrix of the raw Q4.12 bits `raw`, row-major.
+fn raw_matrix(rows: usize, cols: usize, raw: &[i16]) -> FixedMatrix {
+    let mut m = FixedMatrix::zeros(rows, cols).unwrap();
+    for (i, &w) in raw.iter().enumerate() {
+        m.set(i / cols, i % cols, Fixed::from_bits(w));
+    }
+    m
 }
 
 proptest! {
@@ -59,6 +74,10 @@ proptest! {
         }),
         raw_input in prop::collection::vec(raw_bits(), 16..17),
         bits in 1u32..=6,
+        (wide_rows, wide_cols, wide_weights) in (1usize..=128, 1usize..=128).prop_flat_map(|(r, c)| {
+            (Just(r), Just(c), prop::collection::vec(raw_bits(), r * c..r * c + 1))
+        }),
+        wide_input in prop::collection::vec(raw_bits(), 128..129),
     ) {
         // Every cell precision, also 3, 5 and 6 bits, whose slices do not
         // divide the 16-bit word. First a smooth in-range 16×16 matrix...
@@ -73,12 +92,16 @@ proptest! {
             .collect();
         assert_analog_equals_digital(&m, &x, bits);
         // ...then raw Q4.12 bits (extremes included) in a padded shape.
-        let mut m = FixedMatrix::zeros(rows, cols).unwrap();
-        for (i, &w) in raw_weights.iter().enumerate() {
-            m.set(i / cols, i % cols, Fixed::from_bits(w));
-        }
+        let m = raw_matrix(rows, cols, &raw_weights);
         let x: Vec<Fixed> = raw_input.into_iter().map(Fixed::from_bits).collect();
         assert_analog_equals_digital(&m, &x, bits);
+        // ...and the exact path at the real crossbar width, where the
+        // kernel runs in full column blocks (bit-serial stays at 16×16 for
+        // test time).
+        let m = raw_matrix(wide_rows, wide_cols, &wide_weights);
+        let x: Vec<Fixed> = wide_input.into_iter().map(Fixed::from_bits).collect();
+        let (mvmu, digital) = padded_unit(&m, &x, 128, bits);
+        prop_assert_eq!(mvmu.mvm_exact(&x).unwrap(), digital);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use puma_baselines as baselines;
 pub use puma_compiler as compiler;
