@@ -1,16 +1,16 @@
 //! Host-side glue: compile a model graph, load it into the simulator,
 //! write inputs, run, and read back outputs by logical name.
 //!
-//! Three entry points, from one-shot to sustained traffic:
+//! Four entry points, from one-shot to sustained traffic:
 //!
 //! - [`ModelRunner`] — one simulator instance, one inference at a time;
 //! - [`ServeRunner`] — the serving stack: a standing pool of simulated
 //!   workers fed by an arrival-time-ordered submission queue with bounded
-//!   depth (overload is **shed**, not buffered without limit), reporting
-//!   per-request latency in deterministic simulated cycles and p50/p95/p99
-//!   percentiles. Sharded models can serve **pipelined**: different
-//!   requests simultaneously resident on different nodes
-//!   ([`puma_sim::PipelineSim`]).
+//!   depth (overload is **shed**, not buffered without limit) and an
+//!   optional per-request deadline, reporting per-request latency in
+//!   deterministic simulated cycles and p50/p95/p99 percentiles. Sharded
+//!   models can serve **pipelined**: different requests simultaneously
+//!   resident on different nodes ([`puma_sim::PipelineSim`]).
 //! - [`BatchRunner`] — a thin wrapper over the serving stack for one-shot
 //!   batches: `run_batch` ≡ serve with every arrival at cycle 0 and an
 //!   unbounded queue (Fig. 11's batching scenario).
@@ -25,6 +25,21 @@
 //! [`puma_compiler::Partitioning::Sharded`] transparently: the compiled
 //! image is split into per-node programs and each worker drives a
 //! [`ClusterSim`] instead of a [`NodeSim`] (§3.1 node scale-out).
+//!
+//! # One schedule kernel
+//!
+//! Replicated and multi-tenant serving share one private virtual-time
+//! schedule over per-stream loads, each starting with a number of
+//! primary replicas: a [`ServeRunner`] serve is one stream on its fixed
+//! workers with its deadline, a [`TenantServer`] serve is one stream per
+//! model, each on one primary, with scaling, retry, and failover. Events
+//! are totally ordered — time, then departures, the tile death, fault
+//! retries, and fresh arrivals, then stream, then request — and
+//! deadlines are checked lazily, when a replica picks a request up: one
+//! whose deadline already passed times out without consuming the
+//! replica, one that would overrun is aborted at its deadline with the
+//! replica busy until then. Both share one pooled executor too; only
+//! pipelined serving, which co-simulates its stages, schedules itself.
 //!
 //! # Determinism
 //!
@@ -46,6 +61,7 @@ use puma_sim::{
     SimEngine, SimMode, StageStats,
 };
 use puma_xbar::NoiseModel;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -217,26 +233,110 @@ fn for_each_input_chunk<S: AsRef<str>>(
 
 /// Writes one request's inputs (constants + named inputs, chunked per the
 /// compiler's layout), runs the simulator to completion, and reads back
-/// every logical output.
+/// every logical output. With a `resident` model name (the multi-tenant
+/// path), every binding goes through that tenant's `"{model}:"` prefix
+/// and only its tiles run.
 fn run_request<S: AsRef<str>>(
     sim: &mut SimBackend,
     compiled: &CompiledModel,
     inputs: &[(S, Vec<f32>)],
+    resident: Option<&str>,
 ) -> Result<HashMap<String, Vec<f32>>> {
     for (binding, values) in &compiled.const_data {
-        sim.write_input(&binding.name, values)?;
+        sim.write_input(&tenant_binding(resident, &binding.name), values)?;
     }
-    for_each_input_chunk(compiled, inputs, &mut |chunk, data| sim.write_input(chunk, data))?;
-    sim.run()?;
+    for_each_input_chunk(compiled, inputs, &mut |chunk, data| {
+        sim.write_input(&tenant_binding(resident, chunk), data)
+    })?;
+    match resident {
+        Some(model) => sim.run_resident(model)?,
+        None => sim.run()?,
+    };
     let mut out = HashMap::new();
     for io in &compiled.outputs {
         let mut data = Vec::with_capacity(io.width);
         for chunk in &io.chunks {
-            data.extend(sim.read_output(chunk)?);
+            data.extend(sim.read_output(&tenant_binding(resident, chunk))?);
         }
         out.insert(io.name.clone(), data);
     }
     Ok(out)
+}
+
+/// A binding's name on the simulator: prefixed by its tenant on a
+/// multi-tenant fabric, as compiled otherwise.
+fn tenant_binding<'a>(resident: Option<&str>, name: &'a str) -> Cow<'a, str> {
+    resident.map_or(Cow::Borrowed(name), |model| Cow::Owned(format!("{model}:{name}")))
+}
+
+/// Runs every job's simulation across the host-thread pool
+/// (work-stealing over a shared cursor), returning per-job results in
+/// job order plus the host threads used. Each thread checks one
+/// simulator out of `pool` — `build`ing one on first use — and runs each
+/// of its jobs with `run` on the freshly reset simulator; a result
+/// carries the job's outputs and that run's statistics. The simulator
+/// returns to the pool when the jobs drain. This is the execution core
+/// of batch, replicated, and multi-tenant serving.
+///
+/// The spawned thread count is capped at `host_threads` and at the
+/// host's available parallelism: each thread owns a full simulator
+/// replica whose working set is tens of megabytes, so oversubscribing
+/// physical cores does not just time-slice — every context switch
+/// refaults a replica's working set through the cache, and measured
+/// batch throughput *fell* with extra threads on small hosts (the
+/// work-stealing itself is wait-free: one `fetch_add` per job).
+/// Results never depend on the thread count either way.
+fn execute_all<J: Sync>(
+    pool: &Mutex<Vec<SimBackend>>,
+    host_threads: usize,
+    jobs: &[J],
+    build: impl Fn() -> Result<SimBackend> + Sync,
+    run: impl Fn(&mut SimBackend, &J) -> Result<HashMap<String, Vec<f32>>> + Sync,
+) -> (Vec<Result<RequestResult>>, usize) {
+    let serve = |sim: &mut SimBackend, job: &J| {
+        sim.reset();
+        let outputs = run(sim, job)?;
+        Ok(RequestResult { outputs, stats: sim.stats().clone() })
+    };
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = host_threads.min(jobs.len()).min(parallelism).max(1);
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<RequestResult>>>> =
+        jobs.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let mut sim: Option<SimBackend> = pool.lock().expect("sim pool poisoned").pop();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
+                        break;
+                    }
+                    let result = match &mut sim {
+                        Some(s) => serve(s, &jobs[i]),
+                        None => build().and_then(|mut s| {
+                            let r = serve(&mut s, &jobs[i]);
+                            sim = Some(s);
+                            r
+                        }),
+                    };
+                    *slots[i].lock().expect("request slot poisoned") = Some(result);
+                }
+                if let Some(s) = sim {
+                    pool.lock().expect("sim pool poisoned").push(s);
+                }
+            });
+        }
+    });
+    let results = slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("request slot poisoned")
+                .expect("every job index is claimed exactly once")
+        })
+        .collect();
+    (results, threads)
 }
 
 /// A compiled model bound to a simulator instance.
@@ -301,7 +401,7 @@ impl ModelRunner {
             self.sim.reset();
         }
         self.ran = true;
-        run_request(&mut self.sim, &self.compiled, inputs)
+        run_request(&mut self.sim, &self.compiled, inputs, None)
     }
 
     /// Statistics of the last run.
@@ -554,7 +654,9 @@ pub struct ServeOutcome {
     pub host_threads: usize,
     /// Cycle the last completed request finished (0 if none completed).
     pub makespan_cycles: u64,
-    /// Maximum number of requests simultaneously in service.
+    /// Maximum number of requests simultaneously in service, counting a
+    /// request the deadline watchdog aborted mid-service over the span
+    /// it held its worker.
     pub max_concurrent: usize,
     /// Per-stage occupancy when serving pipelined (`None` otherwise).
     pub stages: Option<Vec<StageStats>>,
@@ -913,77 +1015,6 @@ impl ServeRunner {
         Ok(sim)
     }
 
-    fn serve_one(
-        &self,
-        sim: &mut SimBackend,
-        inputs: &[(String, Vec<f32>)],
-    ) -> Result<RequestResult> {
-        sim.reset();
-        let outputs = run_request(sim, &self.compiled, inputs)?;
-        Ok(RequestResult { outputs, stats: sim.stats().clone() })
-    }
-
-    /// Runs every request's simulation across the host-thread pool
-    /// (work-stealing over a shared cursor), returning per-request
-    /// results in request order plus the host threads used. This is the
-    /// execution core shared by batch and replicated serving.
-    ///
-    /// The spawned thread count is additionally capped at the host's
-    /// available parallelism: each worker owns a full simulator replica
-    /// whose working set is tens of megabytes, so oversubscribing
-    /// physical cores does not just time-slice — every context switch
-    /// refaults a replica's working set through the cache, and measured
-    /// batch throughput *fell* with extra threads on small hosts (the
-    /// work-stealing itself is wait-free: one `fetch_add` per request).
-    /// Results never depend on the thread count either way.
-    fn execute_all(
-        &self,
-        requests: &[&[(String, Vec<f32>)]],
-    ) -> (Vec<Result<RequestResult>>, usize) {
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = self.host_threads.min(requests.len()).min(parallelism).max(1);
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RequestResult>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // Check a simulator out of the pool (building one on
-                    // first use) and return it when the queue drains.
-                    let mut sim: Option<SimBackend> =
-                        self.pool.lock().expect("sim pool poisoned").pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= requests.len() {
-                            break;
-                        }
-                        let result = match &mut sim {
-                            Some(s) => self.serve_one(s, requests[i]),
-                            None => self.build_sim().and_then(|mut s| {
-                                let r = self.serve_one(&mut s, requests[i]);
-                                sim = Some(s);
-                                r
-                            }),
-                        };
-                        *slots[i].lock().expect("request slot poisoned") = Some(result);
-                    }
-                    if let Some(s) = sim {
-                        self.pool.lock().expect("sim pool poisoned").push(s);
-                    }
-                });
-            }
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("request slot poisoned")
-                    .expect("every request index is claimed exactly once")
-            })
-            .collect();
-        (results, threads)
-    }
-
     /// Serves requests arriving per `pattern` (request `i` arrives at the
     /// pattern's `i`-th arrival time).
     ///
@@ -1049,108 +1080,81 @@ impl ServeRunner {
                 ),
             });
         }
-        // Queue order: arrival time, ties by submission index.
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| (arrivals[i], i));
         let mut outcome = if self.pipeline && self.images.len() > 1 {
-            self.serve_pipelined(arrivals, inputs, &order)?
+            self.serve_pipelined(arrivals, inputs)?
         } else {
-            self.serve_replicated(arrivals, inputs, &order)?
+            self.serve_replicated(arrivals, inputs)
         };
-        // Aggregate over completed requests in submission order, so the
-        // merged floating-point energy totals never depend on scheduling.
-        let mut stats = RunStats::new();
-        let mut latencies = Vec::new();
-        let mut makespan = 0u64;
-        for served in &outcome.results {
-            if let Disposition::Completed { result, finish, .. } = &served.disposition {
-                stats.merge(&result.stats);
-                latencies.push(finish - served.arrival);
-                makespan = makespan.max(*finish);
-            }
-        }
-        outcome.stats = stats;
-        outcome.latency = LatencySummary::from_latencies(latencies);
-        outcome.makespan_cycles = makespan;
+        (outcome.stats, outcome.latency, outcome.makespan_cycles) = summarize(&outcome.results);
         outcome.wall_seconds = started.elapsed().as_secs_f64();
         Ok(outcome)
     }
 
     /// Replicated-worker serving: simulate every request (host-parallel,
     /// speculative — a later-shed request may still be simulated), then
-    /// compute the deterministic virtual-time queue schedule. Requests
+    /// schedule them as one stream on `workers` fixed replicas. Requests
     /// with malformed inputs are rejected at submission and excluded from
     /// the schedule (matching the pipelined path), so they never displace
     /// a valid request from the bounded queue.
-    fn serve_replicated(
-        &self,
-        arrivals: &[u64],
-        inputs: &[&[(String, Vec<f32>)]],
-        order: &[usize],
-    ) -> Result<ServeOutcome> {
-        let valid: Vec<bool> = inputs.iter().map(|i| self.validate_inputs(i).is_ok()).collect();
-        let schedule_order: Vec<usize> = order.iter().copied().filter(|&i| valid[i]).collect();
-        let (mut exec, host_threads) = self.execute_all(inputs);
-        // Requests that validated but faulted in simulation occupy their
-        // worker for zero cycles: the fault is reported per-request, not
-        // modelled as service time.
-        let durations: Vec<u64> =
-            exec.iter().map(|r| r.as_ref().map_or(0, |ok| ok.stats.cycles)).collect();
-        let schedule = virtual_schedule(
-            &schedule_order,
-            arrivals,
-            &durations,
-            self.workers,
+    fn serve_replicated(&self, arrivals: &[u64], inputs: &[&[(String, Vec<f32>)]]) -> ServeOutcome {
+        let (exec, host_threads) = execute_all(
+            &self.pool,
+            self.host_threads,
+            inputs,
+            || self.build_sim(),
+            |sim, inputs| run_request(sim, &self.compiled, inputs, None),
+        );
+        let load = Load {
+            arrivals: arrivals.to_vec(),
+            durations: exec.iter().map(service_cycles).collect(),
+            schedulable: (0..inputs.len())
+                .filter(|&i| self.validate_inputs(inputs[i]).is_ok())
+                .collect(),
+            replicas: self.workers,
+            tiles: 0,
+            node: 0,
+            base: 0,
+        };
+        let schedule = schedule_streams(
+            &[load],
             self.queue_depth,
             self.deadline,
+            &ScalePolicy::default(),
+            &RetryPolicy::default(),
+            None,
+            &mut TilePlanner::new(0, 0),
         );
-        let mut shed = 0usize;
-        let mut timed_out = 0usize;
-        let mut results = Vec::with_capacity(arrivals.len());
-        for (i, slot) in schedule.iter().enumerate() {
-            let disposition = match (valid[i], *slot, exec[i].is_ok()) {
-                (false, _, _) => match std::mem::replace(&mut exec[i], Ok(empty_result())) {
-                    Err(e) => Disposition::Failed(e.into()),
-                    Ok(_) => unreachable!("validation failed but execution succeeded"),
-                },
-                (true, ScheduleSlot::Shed, _) => {
-                    shed += 1;
-                    Disposition::Shed
-                }
-                (true, ScheduleSlot::TimedOut { at }, _) => {
-                    timed_out += 1;
-                    let d = self.deadline.expect("timeouts require an armed watchdog");
-                    Disposition::Failed(RequestError::Deadline {
+        let slots = &schedule.slots[0];
+        let results = exec
+            .into_iter()
+            .zip(slots)
+            .enumerate()
+            .map(|(i, (exec, &slot))| ServedRequest {
+                arrival: arrivals[i],
+                disposition: dispose(slot, exec, |aborted| {
+                    let (Slot::TimedOut { at, .. }, Some(d)) = (aborted, self.deadline) else {
+                        unreachable!("replicated serving aborts only on its deadline")
+                    };
+                    RequestError::Deadline {
                         cycle: at,
                         what: format!("request {i} overran its {d}-cycle serving deadline"),
-                    })
-                }
-                (true, ScheduleSlot::Served { .. }, false) => Disposition::Failed(
-                    std::mem::replace(&mut exec[i], Ok(empty_result())).unwrap_err().into(),
-                ),
-                (true, ScheduleSlot::Served { start, finish }, true) => Disposition::Completed {
-                    result: std::mem::replace(&mut exec[i], Ok(empty_result()))
-                        .expect("checked above"),
-                    start,
-                    finish,
-                },
-            };
-            results.push(ServedRequest { arrival: arrivals[i], disposition });
-        }
-        let max_concurrent = max_overlap(&schedule);
-        Ok(ServeOutcome {
+                    }
+                }),
+            })
+            .collect();
+        ServeOutcome {
             results,
             stats: RunStats::new(),
             latency: LatencySummary::default(),
-            shed,
-            timed_out,
+            shed: schedule.shed[0],
+            timed_out: slots.iter().filter(|s| matches!(s, Some(Slot::TimedOut { .. }))).count(),
             workers: self.workers,
             host_threads,
             makespan_cycles: 0,
-            max_concurrent,
+            max_concurrent: max_overlap(slots),
             stages: None,
             wall_seconds: 0.0,
-        })
+        }
     }
 
     /// Pipelined serving over a sharded model (see the type docs).
@@ -1158,7 +1162,6 @@ impl ServeRunner {
         &self,
         arrivals: &[u64],
         inputs: &[&[(String, Vec<f32>)]],
-        order: &[usize],
     ) -> Result<ServeOutcome> {
         // Reject malformed requests before they enter the queue, and
         // build the per-request write list (input chunks) the pipeline
@@ -1167,7 +1170,8 @@ impl ServeRunner {
         // flattened once and passed as the pipeline's common writes.
         let mut prepared: Vec<Result<RequestWrites>> =
             inputs.iter().map(|i| self.prepare_writes(i)).collect();
-        let queue: Vec<usize> = order.iter().copied().filter(|&i| prepared[i].is_ok()).collect();
+        // Arrivals are non-decreasing, so submission order is queue order.
+        let queue: Vec<usize> = (0..inputs.len()).filter(|&i| prepared[i].is_ok()).collect();
         let pipeline_requests: Vec<PipelineRequest> = queue
             .iter()
             .map(|&i| PipelineRequest {
@@ -1293,139 +1297,6 @@ impl ServeRunner {
         }
         out
     }
-}
-
-/// A placeholder result used when moving a real one out of the execution
-/// slot vector.
-fn empty_result() -> RequestResult {
-    RequestResult { outputs: HashMap::new(), stats: RunStats::new() }
-}
-
-/// One request's slot in the deterministic virtual-time schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScheduleSlot {
-    /// The request was served over `start..finish`.
-    Served {
-        /// Cycle service began.
-        start: u64,
-        /// Cycle service finished.
-        finish: u64,
-    },
-    /// The bounded queue rejected the request at arrival (also the slot
-    /// of requests excluded from the schedule entirely).
-    Shed,
-    /// The deadline watchdog aborted the request at `at` (its arrival
-    /// plus the deadline) — either mid-service (the worker is reclaimed
-    /// at `at`) or still queued (no worker was ever consumed).
-    TimedOut {
-        /// Cycle the watchdog fired.
-        at: u64,
-    },
-}
-
-/// The deterministic virtual-time queue schedule: given arrival times and
-/// service durations, computes each request's slot on a pool of `workers`
-/// simulated servers with a FIFO queue bounded by `depth`. Departures
-/// precede arrivals at equal timestamps. With a `deadline`, a request
-/// whose service would end after `arrival + deadline` is aborted there
-/// instead (a request finishing exactly at its deadline completes), and
-/// one whose deadline passes while it is still queued expires without
-/// ever consuming a worker.
-fn virtual_schedule(
-    order: &[usize],
-    arrivals: &[u64],
-    durations: &[u64],
-    workers: usize,
-    depth: Option<usize>,
-    deadline: Option<u64>,
-) -> Vec<ScheduleSlot> {
-    let workers = workers.max(1);
-    let mut schedule: Vec<ScheduleSlot> = vec![ScheduleSlot::Shed; arrivals.len()];
-    // (free_at, worker index): deterministic tie-break by index.
-    let mut free: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..workers).map(|w| Reverse((0, w))).collect();
-    let mut waiting: VecDeque<usize> = VecDeque::new();
-    // Serves request `i` on `worker` (free at `free_at`), or expires it
-    // against the deadline. Returns false when the worker was NOT
-    // consumed (the request's deadline passed while it was queued).
-    let place = |i: usize,
-                 free_at: u64,
-                 worker: usize,
-                 free: &mut BinaryHeap<Reverse<(u64, usize)>>,
-                 schedule: &mut Vec<ScheduleSlot>| {
-        let start = free_at.max(arrivals[i]);
-        let finish = start + durations[i];
-        if let Some(d) = deadline {
-            let dl = arrivals[i].saturating_add(d);
-            if finish > dl {
-                if start >= dl {
-                    // Expired in the queue: it never starts.
-                    schedule[i] = ScheduleSlot::TimedOut { at: dl };
-                    return false;
-                }
-                // Started but overran: the watchdog aborts it at the
-                // deadline and the worker is reclaimed there.
-                schedule[i] = ScheduleSlot::TimedOut { at: dl };
-                free.push(Reverse((dl, worker)));
-                return true;
-            }
-        }
-        schedule[i] = ScheduleSlot::Served { start, finish };
-        free.push(Reverse((finish, worker)));
-        true
-    };
-    let start_queued_until = |upto: u64,
-                              waiting: &mut VecDeque<usize>,
-                              free: &mut BinaryHeap<Reverse<(u64, usize)>>,
-                              schedule: &mut Vec<ScheduleSlot>| {
-        while let Some(&head) = waiting.front() {
-            let Some(&Reverse((free_at, worker))) = free.peek() else { break };
-            if free_at > upto {
-                break;
-            }
-            free.pop();
-            waiting.pop_front();
-            if !place(head, free_at, worker, free, schedule) {
-                free.push(Reverse((free_at, worker)));
-            }
-        }
-    };
-    for &i in order {
-        let t = arrivals[i];
-        start_queued_until(t, &mut waiting, &mut free, &mut schedule);
-        let idle_worker = free.peek().is_some_and(|&Reverse((f, _))| f <= t);
-        if idle_worker && waiting.is_empty() {
-            let Reverse((free_at, worker)) = free.pop().expect("peeked above");
-            if !place(i, free_at, worker, &mut free, &mut schedule) {
-                free.push(Reverse((free_at, worker)));
-            }
-        } else if depth.is_none_or(|d| waiting.len() < d) {
-            waiting.push_back(i);
-        }
-        // else: shed (schedule[i] stays Shed).
-    }
-    start_queued_until(u64::MAX, &mut waiting, &mut free, &mut schedule);
-    schedule
-}
-
-/// Maximum number of simultaneously in-service requests in a schedule
-/// (finishes close before starts open at equal timestamps).
-fn max_overlap(schedule: &[ScheduleSlot]) -> usize {
-    let mut events: Vec<(u64, i32)> = Vec::new();
-    for slot in schedule {
-        let ScheduleSlot::Served { start, finish } = *slot else { continue };
-        events.push((start, 1));
-        events.push((finish, -1));
-    }
-    // Sort by time, closes (−1) before opens (+1).
-    events.sort_unstable_by_key(|&(t, delta)| (t, delta));
-    let mut current = 0i64;
-    let mut max = 0i64;
-    for (_, delta) in events {
-        current += i64::from(delta);
-        max = max.max(current);
-    }
-    max.max(0) as usize
 }
 
 /// Batched inference over worker threads — a thin wrapper over
@@ -1866,10 +1737,6 @@ impl TenantOutcome {
     }
 }
 
-/// One speculative tenant execution job: the target model's catalog name
-/// and the request's named inputs.
-type TenantJob<'a> = (&'a str, &'a [(String, Vec<f32>)]);
-
 /// First-fit tile allocator over the fabric's per-node tile ranges.
 #[derive(Debug, Clone)]
 struct TilePlanner {
@@ -2236,7 +2103,7 @@ impl TenantServer {
     fn build_fabric_sim(&self) -> Result<SimBackend> {
         let images = self.node_images()?;
         // Tile death is modeled at the schedule layer (quarantine +
-        // failover + retry, see `tenant_schedule`), not inside the
+        // failover + retry, see `schedule_streams`), not inside the
         // speculative fabric simulators: every request is simulated once
         // and scheduling decides which attempt lands where. Cell and
         // packet faults stay in — their site keys are resident-relative,
@@ -2252,85 +2119,6 @@ impl TenantServer {
         }
         sim.set_engine(self.engine);
         Ok(sim)
-    }
-
-    /// Runs one request of one resident on a fabric simulator: writes
-    /// the model's constants and inputs through its tenant-prefixed
-    /// bindings, runs only that resident's tiles, and reads back the
-    /// model's logical outputs.
-    fn serve_tenant_one(
-        &self,
-        sim: &mut SimBackend,
-        model: &str,
-        inputs: &[(String, Vec<f32>)],
-    ) -> Result<RequestResult> {
-        let compiled = self.catalog.get(model).expect("deployed models stay cataloged");
-        sim.reset();
-        for (binding, values) in &compiled.const_data {
-            sim.write_input(&format!("{model}:{}", binding.name), values)?;
-        }
-        for_each_input_chunk(compiled, inputs, &mut |chunk, data| {
-            sim.write_input(&format!("{model}:{chunk}"), data)
-        })?;
-        sim.run_resident(model)?;
-        let mut outputs = HashMap::new();
-        for io in &compiled.outputs {
-            let mut data = Vec::with_capacity(io.width);
-            for chunk in &io.chunks {
-                data.extend(sim.read_output(&format!("{model}:{chunk}"))?);
-            }
-            outputs.insert(io.name.clone(), data);
-        }
-        Ok(RequestResult { outputs, stats: sim.stats().clone() })
-    }
-
-    /// Simulates every `(model, inputs)` job across the host-thread
-    /// pool — the tenant counterpart of [`ServeRunner::execute_all`],
-    /// with the same work-stealing cursor, pool checkout, and
-    /// parallelism cap. Results are in job order and independent of the
-    /// thread count.
-    fn execute_all_tenant(&self, jobs: &[TenantJob<'_>]) -> (Vec<Result<RequestResult>>, usize) {
-        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = self.host_threads.min(jobs.len()).min(parallelism).max(1);
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<RequestResult>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut sim: Option<SimBackend> =
-                        self.pool.lock().expect("sim pool poisoned").pop();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        let (model, inputs) = jobs[i];
-                        let result = match &mut sim {
-                            Some(s) => self.serve_tenant_one(s, model, inputs),
-                            None => self.build_fabric_sim().and_then(|mut s| {
-                                let r = self.serve_tenant_one(&mut s, model, inputs);
-                                sim = Some(s);
-                                r
-                            }),
-                        };
-                        *slots[i].lock().expect("request slot poisoned") = Some(result);
-                    }
-                    if let Some(s) = sim {
-                        self.pool.lock().expect("sim pool poisoned").push(s);
-                    }
-                });
-            }
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("request slot poisoned")
-                    .expect("every job index is claimed exactly once")
-            })
-            .collect();
-        (results, threads)
     }
 
     /// Serves several models' request streams concurrently on the
@@ -2365,41 +2153,44 @@ impl TenantServer {
                 });
             }
         }
-        // Speculative execution of every request of every stream.
-        let jobs: Vec<TenantJob<'_>> = streams
+        // Speculative execution of every request of every stream: one
+        // (model, inputs) job per request.
+        let jobs: Vec<_> = streams
             .iter()
             .flat_map(|s| s.requests.iter().map(|r| (s.model.as_str(), r.inputs.as_slice())))
             .collect();
-        let (mut exec, host_threads) = self.execute_all_tenant(&jobs);
-        // Split the flat execution results back into per-stream vectors.
-        let mut exec_by_stream: Vec<Vec<Result<RequestResult>>> = Vec::with_capacity(streams.len());
-        for s in streams {
-            let rest = exec.split_off(s.requests.len());
-            exec_by_stream.push(std::mem::replace(&mut exec, rest));
-        }
-        // Per-stream arrivals, durations, and the (arrival, index)-ordered
-        // schedulable request lists (malformed requests are rejected at
-        // submission and never occupy a queue slot).
-        let loads: Vec<TenantLoad> = streams
+        let (exec, host_threads) = execute_all(
+            &self.pool,
+            self.host_threads,
+            &jobs,
+            || self.build_fabric_sim(),
+            |sim, &(model, inputs)| {
+                let compiled = self.catalog.get(model).expect("deployed models stay cataloged");
+                run_request(sim, compiled, inputs, Some(model))
+            },
+        );
+        // One stream per model, each starting on its one materialized
+        // deployment (malformed requests are rejected at submission and
+        // never occupy a queue slot).
+        let mut offset = 0;
+        let loads: Vec<Load> = streams
             .iter()
-            .zip(&exec_by_stream)
-            .map(|(s, exec)| {
-                let arrivals = s.pattern.arrivals(s.requests.len());
-                let durations: Vec<u64> =
-                    exec.iter().map(|r| r.as_ref().map_or(0, |ok| ok.stats.cycles)).collect();
-                let mut order: Vec<usize> = (0..s.requests.len())
-                    .filter(|&i| self.validate_tenant_inputs(&s.model, &s.requests[i].inputs))
-                    .collect();
-                order.sort_by_key(|&i| (arrivals[i], i));
+            .map(|s| {
+                let n = s.requests.len();
+                let durations = exec[offset..offset + n].iter().map(service_cycles).collect();
+                offset += n;
                 let placed = self
                     .deployments
                     .iter()
                     .find(|d| d.model == s.model)
                     .expect("checked deployed above");
-                TenantLoad {
-                    arrivals,
+                Load {
+                    arrivals: s.pattern.arrivals(n),
                     durations,
-                    order,
+                    schedulable: (0..n)
+                        .filter(|&i| self.validate_tenant_inputs(&s.model, &s.requests[i].inputs))
+                        .collect(),
+                    replicas: 1,
                     tiles: placed.tiles,
                     node: placed.node,
                     base: placed.base,
@@ -2413,80 +2204,61 @@ impl TenantServer {
         // failover + retry); the speculative simulators never see it.
         let death =
             self.cfg.faults.tile_death.map(|d| (d.at_cycle, usize::from(d.node), d.tile as usize));
-        let schedule = tenant_schedule(
+        let schedule = schedule_streams(
             &loads,
             self.queue_depth,
+            None,
             &self.policy,
             &self.retry,
             death,
             &mut planner,
         );
         // Assemble per-model outcomes in stream order.
-        let mut models = Vec::with_capacity(streams.len());
+        let mut exec = exec.into_iter();
         let mut makespan = 0u64;
-        for (si, stream) in streams.iter().enumerate() {
-            let exec = &mut exec_by_stream[si];
-            let load = &loads[si];
-            let mut results = Vec::with_capacity(stream.requests.len());
-            let mut stats = RunStats::new();
-            let mut latencies = Vec::new();
-            let mut valid = vec![false; stream.requests.len()];
-            for &r in &load.order {
-                valid[r] = true;
-            }
-            let mut retried = 0usize;
-            let mut failed = 0usize;
-            for i in 0..stream.requests.len() {
-                let schedulable = valid[i];
-                let disposition = if schedule.failed[si][i] {
+        let mut models = Vec::with_capacity(streams.len());
+        for (si, (stream, load)) in streams.iter().zip(&loads).enumerate() {
+            let slots = &schedule.slots[si];
+            let attempts = &schedule.attempts[si];
+            let results: Vec<ServedRequest> = exec
+                .by_ref()
+                .take(stream.requests.len())
+                .zip(slots)
+                .enumerate()
+                .map(|(i, (exec, &slot))| ServedRequest {
+                    arrival: load.arrivals[i],
                     // Lost to the injected tile death: aborted with the
                     // retry budget exhausted, or no live replica left.
-                    failed += 1;
-                    let (cycle, node, tile) = death.expect("failures require a tile death");
-                    Disposition::Failed(RequestError::FaultedTile {
-                        node,
-                        tile,
-                        cycle,
-                        what: format!(
-                            "request {i} of model '{}' lost to the tile death \
-                             ({} of {} attempts made)",
-                            stream.model, schedule.attempts[si][i], self.retry.max_attempts
-                        ),
-                    })
-                } else {
-                    match (schedulable, schedule.windows[si][i], exec[i].is_ok()) {
-                        (false, _, _) | (true, Some(_), false) => {
-                            match std::mem::replace(&mut exec[i], Ok(empty_result())) {
-                                Err(e) => Disposition::Failed(e.into()),
-                                Ok(_) => {
-                                    unreachable!("validation failed but execution succeeded")
-                                }
-                            }
+                    disposition: dispose(slot, exec, |_| {
+                        let (cycle, node, tile) = death.expect("failures require a tile death");
+                        RequestError::FaultedTile {
+                            node,
+                            tile,
+                            cycle,
+                            what: format!(
+                                "request {i} of model '{}' lost to the tile death \
+                                 ({} of {} attempts made)",
+                                stream.model, attempts[i], self.retry.max_attempts
+                            ),
                         }
-                        (true, None, _) => Disposition::Shed,
-                        (true, Some((start, finish)), true) => {
-                            let result = std::mem::replace(&mut exec[i], Ok(empty_result()))
-                                .expect("checked above");
-                            stats.merge(&result.stats);
-                            latencies.push(finish - load.arrivals[i]);
-                            makespan = makespan.max(finish);
-                            if schedule.attempts[si][i] > 1 {
-                                retried += 1;
-                            }
-                            Disposition::Completed { result, start, finish }
-                        }
-                    }
-                };
-                results.push(ServedRequest { arrival: load.arrivals[i], disposition });
-            }
+                    }),
+                })
+                .collect();
+            let (stats, latency, last) = summarize(&results);
+            makespan = makespan.max(last);
+            let retried = results
+                .iter()
+                .zip(attempts)
+                .filter(|(r, &a)| a > 1 && matches!(r.disposition, Disposition::Completed { .. }))
+                .count();
             models.push(TenantModelOutcome {
                 model: stream.model.clone(),
                 results,
                 stats,
-                latency: LatencySummary::from_latencies(latencies),
+                latency,
                 shed: schedule.shed[si],
                 retried,
-                failed,
+                failed: slots.iter().filter(|s| **s == Some(Slot::Failed)).count(),
                 peak_replicas: schedule.peak[si],
             });
         }
@@ -2517,31 +2289,142 @@ impl TenantServer {
     }
 }
 
-/// One model's load for [`tenant_schedule`].
-struct TenantLoad {
+// ---------------------------------------------------------------------------
+// The virtual-time serving kernel shared by replicated and tenant serving.
+// ---------------------------------------------------------------------------
+
+/// One request's outcome in the virtual-time schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// The request was served over `start..finish`.
+    Served {
+        /// Cycle service began.
+        start: u64,
+        /// Cycle service finished.
+        finish: u64,
+    },
+    /// The bounded queue rejected the request at arrival.
+    Shed,
+    /// The deadline watchdog aborted the request at `at` (its arrival
+    /// plus the deadline). It held a replica over `start..at` — an empty
+    /// span when the deadline passed while it was still queued.
+    TimedOut {
+        /// Cycle a replica picked the request up (`at` if it expired
+        /// while queued).
+        start: u64,
+        /// Cycle the watchdog fired.
+        at: u64,
+    },
+    /// Permanently lost to the injected tile death: the retry budget ran
+    /// out, or no live replica remained to serve it.
+    Failed,
+}
+
+impl Slot {
+    /// The span the request held a replica, if one ever picked it up.
+    fn busy_span(self) -> Option<(u64, u64)> {
+        match self {
+            Slot::Served { start, finish } => Some((start, finish)),
+            Slot::TimedOut { start, at } => Some((start, at)),
+            Slot::Shed | Slot::Failed => None,
+        }
+    }
+}
+
+/// Maximum number of requests simultaneously holding a replica
+/// (finishes close before starts open at equal timestamps, so a
+/// zero-length span counts 0).
+fn max_overlap(slots: &[Option<Slot>]) -> usize {
+    let mut events: Vec<(u64, i32)> = Vec::new();
+    for (start, end) in slots.iter().filter_map(|s| s.and_then(Slot::busy_span)) {
+        events.push((start, 1));
+        events.push((end, -1));
+    }
+    // Sort by time, closes (−1) before opens (+1).
+    events.sort_unstable_by_key(|&(t, delta)| (t, delta));
+    let mut current = 0i64;
+    let mut max = 0i64;
+    for (_, delta) in events {
+        current += i64::from(delta);
+        max = max.max(current);
+    }
+    max.max(0) as usize
+}
+
+/// A request's service duration in the virtual-time schedule: its
+/// simulated cycles. A request that validated but faulted in simulation
+/// occupies its replica for zero cycles — the fault is reported per
+/// request, not modelled as service time.
+fn service_cycles(exec: &Result<RequestResult>) -> u64 {
+    exec.as_ref().map_or(0, |ok| ok.stats.cycles)
+}
+
+/// Maps one request's schedule slot and speculative execution result to
+/// its disposition. `None` marks a request rejected at submission, whose
+/// execution carries the validation error; `abort` types a slot the
+/// schedule aborted (a deadline timeout or a tile-death failure).
+fn dispose(
+    slot: Option<Slot>,
+    exec: Result<RequestResult>,
+    abort: impl FnOnce(Slot) -> RequestError,
+) -> Disposition {
+    match (slot, exec) {
+        (Some(Slot::Shed), _) => Disposition::Shed,
+        (Some(Slot::Served { start, finish }), Ok(result)) => {
+            Disposition::Completed { result, start, finish }
+        }
+        (None | Some(Slot::Served { .. }), Err(e)) => Disposition::Failed(e.into()),
+        (None, Ok(_)) => unreachable!("validation failed but execution succeeded"),
+        (Some(aborted), _) => Disposition::Failed(abort(aborted)),
+    }
+}
+
+/// Aggregates the completed requests of one serve in submission order,
+/// so the merged floating-point energy totals never depend on
+/// scheduling: their merged statistics, latency summary, and the cycle
+/// the last one finished (0 if none completed).
+fn summarize(results: &[ServedRequest]) -> (RunStats, LatencySummary, u64) {
+    let mut stats = RunStats::new();
+    let mut latencies = Vec::new();
+    let mut makespan = 0u64;
+    for served in results {
+        if let Disposition::Completed { result, finish, .. } = &served.disposition {
+            stats.merge(&result.stats);
+            latencies.push(finish - served.arrival);
+            makespan = makespan.max(*finish);
+        }
+    }
+    (stats, LatencySummary::from_latencies(latencies), makespan)
+}
+
+/// One stream's load for [`schedule_streams`].
+struct Load {
     /// Arrival cycle of each request (non-decreasing).
     arrivals: Vec<u64>,
     /// Service duration of each request, in cycles.
     durations: Vec<u64>,
-    /// Schedulable request indices in (arrival, index) order (malformed
-    /// requests are excluded).
-    order: Vec<usize>,
-    /// Tiles one replica of the model occupies.
+    /// Indices of the schedulable requests (malformed ones are excluded
+    /// and get no slot).
+    schedulable: Vec<usize>,
+    /// Primary replicas in service from cycle 0 (at least 1).
+    replicas: usize,
+    /// Tiles one replica occupies.
     tiles: usize,
-    /// Node of the materialized deployment (replica slot 0).
+    /// Node of the materialized deployment the initial replicas sit on.
     node: usize,
-    /// First tile of the materialized deployment (replica slot 0).
+    /// First tile of the materialized deployment.
     base: usize,
 }
 
-/// One replica slot of one model in the tenant schedule.
+/// One replica of one stream in the schedule.
 #[derive(Debug, Clone, Copy)]
-struct ReplicaSlot {
+struct Replica {
     /// The transient tile allocation backing a scaled-up or failover
-    /// replica (`None` for slot 0, the materialized deployment).
+    /// replica (`None` for the initial replicas, which sit on the load's
+    /// materialized deployment).
     alloc: Option<(usize, usize)>,
-    /// Primary replicas — slot 0 and any failover replacement for it —
-    /// are never released by scale-down.
+    /// Primary replicas — the initial ones and any failover replacement
+    /// for them — are never released by scale-down.
     primary: bool,
     busy: bool,
     removed: bool,
@@ -2553,19 +2436,19 @@ struct ReplicaSlot {
 struct RawScaleEvent {
     cycle: u64,
     stream: usize,
+    /// The replica added or removed.
     slot: usize,
     kind: ScaleDirection,
     /// Live replicas of the stream after the step.
     live: usize,
 }
 
-/// Output of [`tenant_schedule`].
-struct TenantSchedule {
-    /// Per stream, per request: the `(start, finish)` service window
-    /// (`None` = shed or not schedulable).
-    windows: Vec<Vec<Option<(u64, u64)>>>,
-    /// Per stream, per request: the replica slot that served it (read
-    /// by the scheduler unit tests to pin the no-eviction invariant).
+/// Output of [`schedule_streams`].
+struct Schedule {
+    /// Per stream, per request: the outcome (`None` = not schedulable).
+    slots: Vec<Vec<Option<Slot>>>,
+    /// Per stream, per request: the replica that served it (read by the
+    /// scheduler unit tests to pin the no-eviction invariant).
     #[allow(dead_code)]
     replica_of: Vec<Vec<Option<usize>>>,
     /// Per stream: requests shed by the bounded queue.
@@ -2577,342 +2460,331 @@ struct TenantSchedule {
     /// Per stream, per request: service attempts made (0 = never
     /// started; > 1 = completed or failed after fault retries).
     attempts: Vec<Vec<usize>>,
-    /// Per stream, per request: permanently lost to the tile death (the
-    /// retry budget ran out, or no live replica remained to serve it).
-    failed: Vec<Vec<bool>>,
 }
 
-/// The deterministic merged multi-tenant schedule: per-model FIFO queues
-/// bounded by `depth`, one service slot per live replica,
-/// queue-depth-driven scale-up/down against `planner`'s free tiles, and
-/// fault recovery for one injected tile death `(cycle, node, tile)`.
+/// The schedule under construction plus the replicas, per-stream waiting
+/// queues, and in-flight departures of [`schedule_streams`].
+struct Kernel<'a> {
+    loads: &'a [Load],
+    deadline: Option<u64>,
+    out: Schedule,
+    replicas: Vec<Vec<Replica>>,
+    waiting: Vec<VecDeque<usize>>,
+    /// In-flight departures: (finish, stream, replica, request).
+    departures: BinaryHeap<Reverse<(u64, usize, usize, usize)>>,
+}
+
+impl Kernel<'_> {
+    /// Replica `k` of stream `s` picks request `r` up at cycle `t`. The
+    /// deadline is checked here, lazily: a request whose deadline has
+    /// already passed times out without consuming the replica, and one
+    /// that would finish after its deadline is aborted there with the
+    /// replica busy until then (finishing exactly at the deadline
+    /// completes). Returns whether the replica is now busy.
+    fn start(&mut self, t: u64, s: usize, r: usize, k: usize) -> bool {
+        let load = &self.loads[s];
+        let finish = t + load.durations[r];
+        let (slot, end) = match self.deadline.map(|d| load.arrivals[r].saturating_add(d)) {
+            Some(at) if finish > at && t >= at => {
+                self.out.slots[s][r] = Some(Slot::TimedOut { start: at, at });
+                return false;
+            }
+            Some(at) if finish > at => (Slot::TimedOut { start: t, at }, at),
+            _ => (Slot::Served { start: t, finish }, finish),
+        };
+        self.out.slots[s][r] = Some(slot);
+        self.out.replica_of[s][r] = Some(k);
+        self.out.attempts[s][r] += 1;
+        self.replicas[s][k].busy = true;
+        self.departures.push(Reverse((end, s, k, r)));
+        true
+    }
+
+    /// Idle replica `k` of stream `s` serves the queue head at `t`,
+    /// moving past heads that time out on pickup. Returns whether the
+    /// replica is now busy.
+    fn serve_head(&mut self, t: u64, s: usize, k: usize) -> bool {
+        while let Some(head) = self.waiting[s].pop_front() {
+            if self.start(t, s, head, k) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// An idle replica of stream `s` that may serve a new request at
+    /// once (none while requests wait: they go first).
+    fn idle(&self, s: usize) -> Option<usize> {
+        self.replicas[s]
+            .iter()
+            .position(|x| !x.busy && !x.removed)
+            .filter(|_| self.waiting[s].is_empty())
+    }
+
+    fn live(&self, s: usize) -> usize {
+        self.replicas[s].iter().filter(|x| !x.removed).count()
+    }
+
+    /// Records a scaling or recovery step of replica `k` of stream `s`.
+    fn record(&mut self, cycle: u64, s: usize, k: usize, kind: ScaleDirection) {
+        let live = self.live(s);
+        self.out.peak[s] = self.out.peak[s].max(live);
+        self.out.events.push(RawScaleEvent { cycle, stream: s, slot: k, kind, live });
+    }
+
+    /// Adds a replica on `alloc` to stream `s` at `t` (a scale-up or a
+    /// failover) and lets it serve the queue head.
+    fn add_replica(
+        &mut self,
+        t: u64,
+        s: usize,
+        alloc: (usize, usize),
+        primary: bool,
+        kind: ScaleDirection,
+    ) {
+        self.replicas[s].push(Replica { alloc: Some(alloc), primary, busy: false, removed: false });
+        let k = self.replicas[s].len() - 1;
+        self.record(t, s, k, kind);
+        self.serve_head(t, s, k);
+    }
+}
+
+/// The deterministic virtual-time schedule of every replicated serve:
+/// per-stream FIFO queues bounded by `depth`, one service slot per live
+/// replica (each stream starts with [`Load::replicas`] primaries),
+/// lazy per-request `deadline`s, queue-depth-driven scale-up/down against
+/// `planner`'s free tiles, and fault recovery for one injected tile death
+/// `(cycle, node, tile)`. A [`ServeRunner`] is one stream with a fixed
+/// replica count and a deadline; a [`TenantServer`] is one stream per
+/// model, each with one primary, scaling, retry, and failover.
 ///
 /// Event order is total and host-independent: time, then departures
 /// before the tile death (a request finishing exactly at the death
 /// cycle completes), the death before fault retries, and retries
 /// before fresh arrivals (an arrival at the death cycle sees the
-/// post-death fabric), then stream index, then request index. Scale-up
-/// fires on the arrival that makes a model's queue reach
+/// post-death fabric), then stream index, then request index. A freed
+/// replica immediately serves its queue head. Deadlines are checked when
+/// a replica picks a request up (see [`Kernel::start`]): a queued
+/// request whose deadline passed never consumes a replica. Scale-up
+/// fires on the arrival that makes a stream's queue reach
 /// [`ScalePolicy::scale_up_depth`] (capacity permitting) and the new
 /// replica immediately serves the queue head; scale-down releases a
 /// scaled-up replica the moment it departs its last request with an
-/// empty queue. Slot 0 — the materialized deployment — is never
-/// released, and only the replica that just went idle is ever a
-/// release candidate, so scale-down can never evict in-flight work.
+/// empty queue. Primaries are never released, and only the replica that
+/// just went idle is ever a release candidate, so scale-down can never
+/// evict in-flight work.
 ///
-/// When the death hits a replica's allocation (slot 0's materialized
+/// When the death hits a replica's allocation (the materialized
 /// placement or a scaled-up replica's transient one — allocations are
-/// disjoint, so at most one slot is hit), that slot is **quarantined**:
-/// removed from service with its tiles kept allocated, so nothing is
-/// ever re-placed onto the dead tile. Its in-flight request is aborted
-/// and retried per `retry` (retries bypass the bounded queue — the
-/// request was already admitted once), and a replacement replica is
-/// re-placed first-fit onto free tiles (**failover**). With no free
-/// capacity and no live replica left, the model's unserved requests
-/// fail.
-fn tenant_schedule(
-    loads: &[TenantLoad],
+/// disjoint, so at most one replica is hit), that replica is
+/// **quarantined**: removed from service with its tiles kept allocated,
+/// so nothing is ever re-placed onto the dead tile. Its in-flight
+/// request is aborted and retried per `retry` (retries bypass the
+/// bounded queue — the request was already admitted once), and a
+/// replacement replica is re-placed first-fit onto free tiles
+/// (**failover**). With no free capacity and no live replica left, the
+/// stream's unserved requests fail.
+fn schedule_streams(
+    loads: &[Load],
     depth: Option<usize>,
+    deadline: Option<u64>,
     policy: &ScalePolicy,
     retry: &RetryPolicy,
     death: Option<(u64, usize, usize)>,
     planner: &mut TilePlanner,
-) -> TenantSchedule {
-    let mut windows: Vec<Vec<Option<(u64, u64)>>> =
-        loads.iter().map(|l| vec![None; l.arrivals.len()]).collect();
-    let mut replica_of: Vec<Vec<Option<usize>>> =
-        loads.iter().map(|l| vec![None; l.arrivals.len()]).collect();
-    let mut shed = vec![0usize; loads.len()];
-    let mut peak = vec![1usize; loads.len()];
-    let mut attempts: Vec<Vec<usize>> = loads.iter().map(|l| vec![0; l.arrivals.len()]).collect();
-    let mut failed: Vec<Vec<bool>> = loads.iter().map(|l| vec![false; l.arrivals.len()]).collect();
-    let mut events: Vec<RawScaleEvent> = Vec::new();
-    let mut slots: Vec<Vec<ReplicaSlot>> = loads
-        .iter()
-        .map(|_| vec![ReplicaSlot { alloc: None, primary: true, busy: false, removed: false }])
-        .collect();
-    let mut waiting: Vec<VecDeque<usize>> = loads.iter().map(|_| VecDeque::new()).collect();
+) -> Schedule {
+    let primary = Replica { alloc: None, primary: true, busy: false, removed: false };
+    let mut st = Kernel {
+        loads,
+        deadline,
+        out: Schedule {
+            slots: loads.iter().map(|l| vec![None; l.arrivals.len()]).collect(),
+            replica_of: loads.iter().map(|l| vec![None; l.arrivals.len()]).collect(),
+            shed: vec![0; loads.len()],
+            peak: loads.iter().map(|l| l.replicas).collect(),
+            events: Vec::new(),
+            attempts: loads.iter().map(|l| vec![0; l.arrivals.len()]).collect(),
+        },
+        replicas: loads.iter().map(|l| vec![primary; l.replicas]).collect(),
+        waiting: vec![VecDeque::new(); loads.len()],
+        departures: BinaryHeap::new(),
+    };
     // Merged arrivals: (cycle, stream, request), consumed in order.
     let mut arrivals: Vec<(u64, usize, usize)> = loads
         .iter()
         .enumerate()
-        .flat_map(|(s, l)| l.order.iter().map(move |&r| (l.arrivals[r], s, r)))
+        .flat_map(|(s, l)| l.schedulable.iter().map(move |&r| (l.arrivals[r], s, r)))
         .collect();
     arrivals.sort_unstable();
     let mut next_arrival = 0usize;
-    // In-flight departures: (finish, stream, slot, request).
-    let mut departures: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = BinaryHeap::new();
     // Fault retries: (re-arrival cycle, stream, request).
     let mut retries: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
     let mut death_pending = death;
-
-    let start = |t: u64,
-                 s: usize,
-                 r: usize,
-                 slot: usize,
-                 slots: &mut [Vec<ReplicaSlot>],
-                 windows: &mut [Vec<Option<(u64, u64)>>],
-                 replica_of: &mut [Vec<Option<usize>>],
-                 departures: &mut BinaryHeap<Reverse<(u64, usize, usize, usize)>>,
-                 attempts: &mut [Vec<usize>]| {
-        let finish = t + loads[s].durations[r];
-        windows[s][r] = Some((t, finish));
-        replica_of[s][r] = Some(slot);
-        slots[s][slot].busy = true;
-        attempts[s][r] += 1;
-        departures.push(Reverse((finish, s, slot, r)));
-    };
 
     loop {
         // The next event: minimum virtual time; at equal times
         // departures (0) precede the tile death (1), the death precedes
         // fault retries (2), and retries precede fresh arrivals (3).
         let candidates = [
-            (departures.peek().map(|&Reverse((t, ..))| t), 0u8),
+            (st.departures.peek().map(|&Reverse((t, ..))| t), 0u8),
             (death_pending.map(|(t, ..)| t), 1),
             (retries.peek().map(|&Reverse((t, ..))| t), 2),
             (arrivals.get(next_arrival).map(|&(t, ..)| t), 3),
         ];
-        let Some((_, event)) = candidates.iter().filter_map(|&(t, k)| t.map(|t| (t, k))).min()
-        else {
+        let Some((t, event)) = candidates.iter().filter_map(|&(t, e)| Some((t?, e))).min() else {
             break;
         };
         match event {
             0 => {
-                let Reverse((t, s, slot, _)) = departures.pop().expect("candidate peeked");
-                if slots[s][slot].removed {
-                    // A quarantined slot's aborted in-flight request:
+                let Reverse((_, s, k, _)) = st.departures.pop().expect("candidate peeked");
+                if st.replicas[s][k].removed {
+                    // A quarantined replica's aborted in-flight request:
                     // the abort and its retry were handled at the death
-                    // cycle, and the slot never returns to service.
+                    // cycle, and the replica never returns to service.
                     continue;
                 }
-                slots[s][slot].busy = false;
-                if let Some(head) = waiting[s].pop_front() {
-                    start(
-                        t,
-                        s,
-                        head,
-                        slot,
-                        &mut slots,
-                        &mut windows,
-                        &mut replica_of,
-                        &mut departures,
-                        &mut attempts,
-                    );
-                } else if !slots[s][slot].primary {
+                st.replicas[s][k].busy = false;
+                if !st.serve_head(t, s, k) && !st.replicas[s][k].primary {
                     // An idle scaled-up replica with an empty queue
                     // drains away; its tiles return to the free pool.
-                    // Primary replicas (slot 0 and its failover
-                    // replacement) stay resident.
                     let (node, base) =
-                        slots[s][slot].alloc.expect("scaled-up replicas carry an allocation");
+                        st.replicas[s][k].alloc.expect("scaled-up replicas carry an allocation");
                     planner.release(node, base);
-                    slots[s][slot].removed = true;
-                    let live = slots[s].iter().filter(|x| !x.removed).count();
-                    events.push(RawScaleEvent {
-                        cycle: t,
-                        stream: s,
-                        slot,
-                        kind: ScaleDirection::Down,
-                        live,
-                    });
+                    st.replicas[s][k].removed = true;
+                    st.record(t, s, k, ScaleDirection::Down);
                 }
             }
             1 => {
-                let (dc, dn, dt) = death_pending.take().expect("candidate peeked");
-                // Allocations are disjoint, so at most one live slot
-                // across all streams covers the dead tile.
-                'streams: for s in 0..loads.len() {
-                    for k in 0..slots[s].len() {
-                        if slots[s][k].removed {
-                            continue;
-                        }
-                        let (node, base) =
-                            slots[s][k].alloc.unwrap_or((loads[s].node, loads[s].base));
-                        if node != dn || dt < base || dt >= base + loads[s].tiles {
-                            continue;
-                        }
-                        // Quarantine: the slot leaves service; its tiles
-                        // stay allocated so nothing is ever re-placed
-                        // onto the dead tile.
-                        slots[s][k].removed = true;
-                        let live = slots[s].iter().filter(|x| !x.removed).count();
-                        events.push(RawScaleEvent {
-                            cycle: dc,
-                            stream: s,
-                            slot: k,
-                            kind: ScaleDirection::Quarantine,
-                            live,
-                        });
-                        // Abort the in-flight victim; retry it after the
-                        // exponential backoff while the budget allows.
-                        let victim = departures
-                            .iter()
-                            .find(|&&Reverse((_, ss, kk, _))| ss == s && kk == k)
-                            .map(|&Reverse((_, _, _, r))| r);
-                        if let Some(r) = victim {
-                            windows[s][r] = None;
-                            replica_of[s][r] = None;
-                            if attempts[s][r] < retry.max_attempts {
-                                let exp = (attempts[s][r] as u32 - 1).min(63);
-                                let delay = retry.backoff_cycles.saturating_mul(1u64 << exp);
-                                retries.push(Reverse((dc.saturating_add(delay), s, r)));
-                            } else {
-                                failed[s][r] = true;
-                            }
-                        }
-                        // Failover: re-place the replica onto free
-                        // tiles, first-fit like any deployment. The
-                        // recovered replica immediately serves the
-                        // queue head.
-                        if let Some(alloc) = planner.first_fit(loads[s].tiles) {
-                            let primary = slots[s][k].primary;
-                            slots[s].push(ReplicaSlot {
-                                alloc: Some(alloc),
-                                primary,
-                                busy: false,
-                                removed: false,
-                            });
-                            let slot = slots[s].len() - 1;
-                            let live = slots[s].iter().filter(|x| !x.removed).count();
-                            peak[s] = peak[s].max(live);
-                            events.push(RawScaleEvent {
-                                cycle: dc,
-                                stream: s,
-                                slot,
-                                kind: ScaleDirection::Failover,
-                                live,
-                            });
-                            if let Some(head) = waiting[s].pop_front() {
-                                start(
-                                    dc,
-                                    s,
-                                    head,
-                                    slot,
-                                    &mut slots,
-                                    &mut windows,
-                                    &mut replica_of,
-                                    &mut departures,
-                                    &mut attempts,
-                                );
-                            }
-                        }
-                        break 'streams;
+                let (_, dn, dt) = death_pending.take().expect("candidate peeked");
+                let replicas = &st.replicas;
+                let hit = (0..loads.len())
+                    .flat_map(|s| (0..replicas[s].len()).map(move |k| (s, k)))
+                    .find(|&(s, k)| {
+                        let x = replicas[s][k];
+                        let (node, base) = x.alloc.unwrap_or((loads[s].node, loads[s].base));
+                        !x.removed && node == dn && (base..base + loads[s].tiles).contains(&dt)
+                    });
+                let Some((s, k)) = hit else { continue };
+                // Quarantine: the replica leaves service; its tiles stay
+                // allocated so nothing is ever re-placed onto the dead
+                // tile.
+                st.replicas[s][k].removed = true;
+                st.record(t, s, k, ScaleDirection::Quarantine);
+                // Abort the in-flight victim; retry it after the
+                // exponential backoff while the budget allows.
+                let victim = st
+                    .departures
+                    .iter()
+                    .find(|&&Reverse((_, ss, kk, _))| ss == s && kk == k)
+                    .map(|&Reverse((_, _, _, r))| r);
+                if let Some(r) = victim {
+                    st.out.slots[s][r] = None;
+                    st.out.replica_of[s][r] = None;
+                    if st.out.attempts[s][r] < retry.max_attempts {
+                        let exp = (st.out.attempts[s][r] as u32 - 1).min(63);
+                        let delay = retry.backoff_cycles.saturating_mul(1u64 << exp);
+                        retries.push(Reverse((t.saturating_add(delay), s, r)));
+                    } else {
+                        st.out.slots[s][r] = Some(Slot::Failed);
                     }
+                }
+                // Failover: re-place the replica onto free tiles,
+                // first-fit like any deployment.
+                if let Some(alloc) = planner.first_fit(loads[s].tiles) {
+                    let primary = st.replicas[s][k].primary;
+                    st.add_replica(t, s, alloc, primary, ScaleDirection::Failover);
                 }
             }
             2 => {
-                let Reverse((t, s, r)) = retries.pop().expect("candidate peeked");
-                let idle = slots[s]
-                    .iter()
-                    .position(|x| !x.busy && !x.removed)
-                    .filter(|_| waiting[s].is_empty());
-                if let Some(slot) = idle {
-                    start(
-                        t,
-                        s,
-                        r,
-                        slot,
-                        &mut slots,
-                        &mut windows,
-                        &mut replica_of,
-                        &mut departures,
-                        &mut attempts,
-                    );
-                } else if slots[s].iter().any(|x| !x.removed) {
+                let Reverse((_, s, r)) = retries.pop().expect("candidate peeked");
+                if let Some(k) = st.idle(s) {
+                    st.start(t, s, r, k);
+                } else if st.live(s) > 0 {
                     // Retries bypass the bounded queue: the request was
                     // already admitted once.
-                    waiting[s].push_back(r);
+                    st.waiting[s].push_back(r);
                 } else {
-                    failed[s][r] = true;
+                    st.out.slots[s][r] = Some(Slot::Failed);
                 }
             }
             _ => {
-                let (t, s, r) = arrivals[next_arrival];
+                let (_, s, r) = arrivals[next_arrival];
                 next_arrival += 1;
-                let idle = slots[s]
-                    .iter()
-                    .position(|x| !x.busy && !x.removed)
-                    .filter(|_| waiting[s].is_empty());
-                if let Some(slot) = idle {
-                    start(
-                        t,
-                        s,
-                        r,
-                        slot,
-                        &mut slots,
-                        &mut windows,
-                        &mut replica_of,
-                        &mut departures,
-                        &mut attempts,
-                    );
-                } else if depth.is_none_or(|d| waiting[s].len() < d) {
-                    waiting[s].push_back(r);
-                    let live = slots[s].iter().filter(|x| !x.removed).count();
-                    if waiting[s].len() >= policy.scale_up_depth && live < policy.max_replicas {
+                if let Some(k) = st.idle(s) {
+                    st.start(t, s, r, k);
+                } else if depth.is_none_or(|d| st.waiting[s].len() < d) {
+                    st.waiting[s].push_back(r);
+                    if st.waiting[s].len() >= policy.scale_up_depth
+                        && st.live(s) < policy.max_replicas
+                    {
                         if let Some(alloc) = planner.first_fit(loads[s].tiles) {
-                            slots[s].push(ReplicaSlot {
-                                alloc: Some(alloc),
-                                primary: false,
-                                busy: false,
-                                removed: false,
-                            });
-                            let slot = slots[s].len() - 1;
-                            peak[s] = peak[s].max(live + 1);
-                            events.push(RawScaleEvent {
-                                cycle: t,
-                                stream: s,
-                                slot,
-                                kind: ScaleDirection::Up,
-                                live: live + 1,
-                            });
-                            let head = waiting[s].pop_front().expect("pushed above");
-                            start(
-                                t,
-                                s,
-                                head,
-                                slot,
-                                &mut slots,
-                                &mut windows,
-                                &mut replica_of,
-                                &mut departures,
-                                &mut attempts,
-                            );
+                            st.add_replica(t, s, alloc, false, ScaleDirection::Up);
                         }
                     }
                 } else {
-                    shed[s] += 1;
+                    st.out.shed[s] += 1;
+                    st.out.slots[s][r] = Some(Slot::Shed);
                 }
             }
         }
     }
     // A stream left with no live replica (the death consumed its last
-    // slot and failover found no capacity) can never serve what is
-    // still waiting.
+    // one and failover found no capacity) can never serve what is still
+    // waiting.
     for s in 0..loads.len() {
-        if slots[s].iter().any(|x| !x.removed) {
-            continue;
-        }
-        for r in waiting[s].drain(..) {
-            failed[s][r] = true;
+        if st.live(s) == 0 {
+            for r in std::mem::take(&mut st.waiting[s]) {
+                st.out.slots[s][r] = Some(Slot::Failed);
+            }
         }
     }
-    TenantSchedule { windows, replica_of, shed, peak, events, attempts, failed }
+    st.out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Schedules one stream on `workers` fixed replicas — the shape of a
+    /// [`ServeRunner`] serve.
+    fn fixed(
+        schedulable: &[usize],
+        arrivals: &[u64],
+        durations: &[u64],
+        workers: usize,
+        depth: Option<usize>,
+        deadline: Option<u64>,
+    ) -> Vec<Option<Slot>> {
+        let load = Load {
+            arrivals: arrivals.to_vec(),
+            durations: durations.to_vec(),
+            schedulable: schedulable.to_vec(),
+            replicas: workers,
+            tiles: 0,
+            node: 0,
+            base: 0,
+        };
+        let default = (ScalePolicy::default(), RetryPolicy::default());
+        let mut planner = TilePlanner::new(0, 0);
+        schedule_streams(&[load], depth, deadline, &default.0, &default.1, None, &mut planner)
+            .slots
+            .swap_remove(0)
+    }
+
+    fn served(start: u64, finish: u64) -> Option<Slot> {
+        Some(Slot::Served { start, finish })
+    }
 
     #[test]
     fn virtual_schedule_single_worker_is_fifo() {
         // Three requests, 10-cycle service, arriving every 4 cycles.
         let arrivals = [0, 4, 8];
         let durations = [10, 10, 10];
-        let schedule = virtual_schedule(&[0, 1, 2], &arrivals, &durations, 1, None, None);
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 10 });
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 10, finish: 20 });
-        assert_eq!(schedule[2], ScheduleSlot::Served { start: 20, finish: 30 });
+        let schedule = fixed(&[0, 1, 2], &arrivals, &durations, 1, None, None);
+        assert_eq!(schedule[0], served(0, 10));
+        assert_eq!(schedule[1], served(10, 20));
+        assert_eq!(schedule[2], served(20, 30));
         assert_eq!(max_overlap(&schedule), 1);
     }
 
@@ -2920,8 +2792,8 @@ mod tests {
     fn virtual_schedule_extra_workers_run_in_parallel() {
         let arrivals = [0, 0, 0];
         let durations = [10, 10, 10];
-        let schedule = virtual_schedule(&[0, 1, 2], &arrivals, &durations, 3, None, None);
-        assert!(schedule.iter().all(|w| *w == ScheduleSlot::Served { start: 0, finish: 10 }));
+        let schedule = fixed(&[0, 1, 2], &arrivals, &durations, 3, None, None);
+        assert!(schedule.iter().all(|w| *w == served(0, 10)));
         assert_eq!(max_overlap(&schedule), 3);
     }
 
@@ -2930,11 +2802,11 @@ mod tests {
         // One worker busy 0..100; depth 1: request 1 queues, 2 and 3 shed.
         let arrivals = [0, 1, 2, 3];
         let durations = [100, 100, 100, 100];
-        let schedule = virtual_schedule(&[0, 1, 2, 3], &arrivals, &durations, 1, Some(1), None);
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 100 });
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 100, finish: 200 });
-        assert_eq!(schedule[2], ScheduleSlot::Shed);
-        assert_eq!(schedule[3], ScheduleSlot::Shed);
+        let schedule = fixed(&[0, 1, 2, 3], &arrivals, &durations, 1, Some(1), None);
+        assert_eq!(schedule[0], served(0, 100));
+        assert_eq!(schedule[1], served(100, 200));
+        assert_eq!(schedule[2], Some(Slot::Shed));
+        assert_eq!(schedule[3], Some(Slot::Shed));
     }
 
     #[test]
@@ -2943,8 +2815,8 @@ mod tests {
         // it must be admitted and start immediately.
         let arrivals = [0, 10];
         let durations = [10, 5];
-        let schedule = virtual_schedule(&[0, 1], &arrivals, &durations, 1, Some(0), None);
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 10, finish: 15 });
+        let schedule = fixed(&[0, 1], &arrivals, &durations, 1, Some(0), None);
+        assert_eq!(schedule[1], served(10, 15));
     }
 
     #[test]
@@ -2952,9 +2824,9 @@ mod tests {
         // No waiting room: the second concurrent request is shed.
         let arrivals = [0, 5];
         let durations = [100, 100];
-        let schedule = virtual_schedule(&[0, 1], &arrivals, &durations, 1, Some(0), None);
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 100 });
-        assert_eq!(schedule[1], ScheduleSlot::Shed);
+        let schedule = fixed(&[0, 1], &arrivals, &durations, 1, Some(0), None);
+        assert_eq!(schedule[0], served(0, 100));
+        assert_eq!(schedule[1], Some(Slot::Shed));
     }
 
     #[test]
@@ -2963,9 +2835,9 @@ mod tests {
         // is reclaimed at the abort cycle and serves request 1 on time.
         let arrivals = [0, 40];
         let durations = [100, 10];
-        let schedule = virtual_schedule(&[0, 1], &arrivals, &durations, 1, None, Some(50));
-        assert_eq!(schedule[0], ScheduleSlot::TimedOut { at: 50 });
-        assert_eq!(schedule[1], ScheduleSlot::Served { start: 50, finish: 60 });
+        let schedule = fixed(&[0, 1], &arrivals, &durations, 1, None, Some(50));
+        assert_eq!(schedule[0], Some(Slot::TimedOut { start: 0, at: 50 }));
+        assert_eq!(schedule[1], served(50, 60));
     }
 
     #[test]
@@ -2977,19 +2849,22 @@ mod tests {
         // request 3 the moment it arrives.
         let arrivals = [0, 0, 0, 60];
         let durations = [50, 50, 50, 20];
-        let schedule = virtual_schedule(&[0, 1, 2, 3], &arrivals, &durations, 1, None, Some(60));
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 50 });
-        assert_eq!(schedule[1], ScheduleSlot::TimedOut { at: 60 });
-        assert_eq!(schedule[2], ScheduleSlot::TimedOut { at: 60 });
-        assert_eq!(schedule[3], ScheduleSlot::Served { start: 60, finish: 80 });
+        let schedule = fixed(&[0, 1, 2, 3], &arrivals, &durations, 1, None, Some(60));
+        assert_eq!(schedule[0], served(0, 50));
+        assert_eq!(schedule[1], Some(Slot::TimedOut { start: 50, at: 60 }));
+        assert_eq!(schedule[2], Some(Slot::TimedOut { start: 60, at: 60 }));
+        assert_eq!(schedule[3], served(60, 80));
+        // The aborted request held the worker over 50..60; the expired
+        // one never held it.
+        assert_eq!(max_overlap(&schedule), 1);
     }
 
     #[test]
     fn virtual_schedule_finishing_exactly_at_deadline_completes() {
         let arrivals = [0];
         let durations = [50];
-        let schedule = virtual_schedule(&[0], &arrivals, &durations, 1, None, Some(50));
-        assert_eq!(schedule[0], ScheduleSlot::Served { start: 0, finish: 50 });
+        let schedule = fixed(&[0], &arrivals, &durations, 1, None, Some(50));
+        assert_eq!(schedule[0], served(0, 50));
     }
 
     use puma_core::tensor::Matrix;
@@ -3025,9 +2900,122 @@ mod tests {
         catalog
     }
 
-    fn load(arrivals: Vec<u64>, durations: Vec<u64>, tiles: usize) -> TenantLoad {
-        let order: Vec<usize> = (0..arrivals.len()).collect();
-        TenantLoad { arrivals, durations, order, tiles, node: 0, base: 0 }
+    /// One tenant stream deployed on node 0 from tile 0, one primary.
+    fn load(arrivals: Vec<u64>, durations: Vec<u64>, tiles: usize) -> Load {
+        let schedulable: Vec<usize> = (0..arrivals.len()).collect();
+        Load { arrivals, durations, schedulable, replicas: 1, tiles, node: 0, base: 0 }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The kernel's invariants on random loads: fixed and scaling
+        /// replicas, bounded queues, deadlines, retries, and a tile death.
+        #[test]
+        fn kernel_invariants_hold_on_random_loads(
+            streams in prop::collection::vec(
+                (1usize..4, 1usize..4, prop::collection::vec((0u64..4, 0u64..60, 0u8..8), 0..12)),
+                1..4,
+            ),
+            depth in prop::option::of(0usize..4),
+            deadline in prop::option::of(0u64..150),
+            scaling in prop::option::of((1usize..4, 1usize..5)),
+            retry in (1usize..4, 0u64..40),
+            death in prop::option::of((0u64..400, 0usize..10)),
+        ) {
+            let mut planner = TilePlanner::new(1, 10);
+            let loads: Vec<Load> = streams
+                .iter()
+                .map(|(replicas, tiles, requests)| {
+                    let mut t = 0;
+                    let (node, base) = planner.first_fit(*tiles).expect("at most 9 of 10 tiles");
+                    Load {
+                        arrivals: requests.iter().map(|&(gap, ..)| { t += 10 * gap; t }).collect(),
+                        durations: requests.iter().map(|&(_, d, _)| d).collect(),
+                        // One request in eight is malformed and excluded.
+                        schedulable: (0..requests.len()).filter(|&r| requests[r].2 != 0).collect(),
+                        replicas: *replicas,
+                        tiles: *tiles,
+                        node,
+                        base,
+                    }
+                })
+                .collect();
+            let policy = scaling.map_or_else(ScalePolicy::default, |(d, m)| ScalePolicy::new(d, m));
+            let retry = RetryPolicy::new(retry.0, retry.1);
+            let death = death.map(|(cycle, tile)| (cycle, 0, tile));
+            let s = schedule_streams(&loads, depth, deadline, &policy, &retry, death, &mut planner);
+            for (si, load) in loads.iter().enumerate() {
+                let slots = &s.slots[si];
+                for (r, slot) in slots.iter().enumerate() {
+                    // Every schedulable request ends in exactly one of
+                    // served / shed / timed out / failed; excluded ones in none.
+                    prop_assert_eq!(slot.is_some(), load.schedulable.contains(&r), "request {}", r);
+                    if let (Some(Slot::Served { finish, .. }), Some(d)) = (slot, deadline) {
+                        prop_assert!(*finish <= load.arrivals[r] + d, "request {} late", r);
+                    }
+                }
+                let shed = slots.iter().filter(|x| **x == Some(Slot::Shed)).count();
+                prop_assert_eq!(s.shed[si], shed);
+                // No cycle has more requests in service than live replicas
+                // (after that cycle's scaling and recovery steps).
+                let spans: Vec<(u64, u64)> =
+                    slots.iter().filter_map(|x| x.and_then(Slot::busy_span)).collect();
+                let steps: Vec<&RawScaleEvent> =
+                    s.events.iter().filter(|e| e.stream == si).collect();
+                let live_at = |t: u64| {
+                    steps.iter().rev().find(|e| e.cycle <= t).map_or(load.replicas, |e| e.live)
+                };
+                for t in spans.iter().map(|&(a, _)| a).chain(steps.iter().map(|e| e.cycle)) {
+                    let busy = spans.iter().filter(|&&(a, b)| a <= t && t < b).count();
+                    let live = live_at(t);
+                    prop_assert!(busy <= live, "{} in service on {} replicas at {}", busy, live, t);
+                }
+                // Fixed replicas without faults start requests FIFO.
+                if scaling.is_none() && death.is_none() {
+                    let mut starts: Vec<(u64, usize, u64)> = slots
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(r, x)| {
+                            Some((load.arrivals[r], r, x.and_then(Slot::busy_span)?.0))
+                        })
+                        .collect();
+                    starts.sort_unstable();
+                    prop_assert!(starts.windows(2).all(|w| w[0].2 <= w[1].2), "{:?}", starts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_aborted_requests_count_toward_max_concurrent() {
+        // Two requests arrive together on two timing-mode workers with a
+        // deadline of half their service time: both are aborted
+        // mid-service, after holding both workers at once.
+        let model = tiny_model("watchdog", 16, 1.0);
+        let requests = vec![BatchRequest::new(vec![("x".to_string(), vec![0.5; 16])]); 2];
+        let serve = |deadline| {
+            let options = CompilerOptions::default();
+            ServeRunner::new(
+                &model,
+                &NodeConfig::default(),
+                &options,
+                SimMode::Timing,
+                &NoiseModel::noiseless(),
+            )
+            .unwrap()
+            .with_workers(2)
+            .with_deadline(deadline)
+            .serve_pattern(&requests, &TrafficPattern::Batch)
+            .unwrap()
+        };
+        let free = serve(None);
+        assert_eq!((free.completed(), free.max_concurrent), (2, 2));
+        let aborted = serve(Some(free.latency.max / 2));
+        assert_eq!((aborted.timed_out, aborted.max_concurrent), (2, 2));
+        // A zero deadline expires both on pickup: neither holds a worker.
+        let expired = serve(Some(0));
+        assert_eq!((expired.timed_out, expired.max_concurrent), (2, 0));
     }
 
     #[test]
@@ -3050,20 +3038,21 @@ mod tests {
         let loads = [load(vec![0, 4, 8], vec![10, 10, 10], 1)];
         let mut planner = TilePlanner::new(1, 4);
         planner.first_fit(1).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
+            None,
             None,
             &ScalePolicy::default(),
             &RetryPolicy::default(),
             None,
             &mut planner,
         );
-        assert_eq!(s.windows[0], vec![Some((0, 10)), Some((10, 20)), Some((20, 30))]);
+        assert_eq!(s.slots[0], vec![served(0, 10), served(10, 20), served(20, 30)]);
         assert_eq!(s.shed[0], 0);
         assert_eq!(s.peak[0], 1);
         assert!(s.events.is_empty());
         assert_eq!(s.attempts[0], vec![1, 1, 1]);
-        assert!(s.failed[0].iter().all(|f| !f));
+        assert!(!s.slots[0].contains(&Some(Slot::Failed)));
     }
 
     #[test]
@@ -3071,17 +3060,18 @@ mod tests {
         let loads = [load(vec![0, 1, 2, 3], vec![100; 4], 1)];
         let mut planner = TilePlanner::new(1, 1);
         planner.first_fit(1).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
             Some(1),
+            None,
             &ScalePolicy::default(),
             &RetryPolicy::default(),
             None,
             &mut planner,
         );
-        assert_eq!(s.windows[0][0], Some((0, 100)));
-        assert_eq!(s.windows[0][1], Some((100, 200)));
-        assert_eq!(s.windows[0][2], None);
+        assert_eq!(s.slots[0][0], served(0, 100));
+        assert_eq!(s.slots[0][1], served(100, 200));
+        assert_eq!(s.slots[0][2], Some(Slot::Shed));
         assert_eq!(s.shed[0], 2);
     }
 
@@ -3092,18 +3082,19 @@ mod tests {
         let loads = [load(vec![0, 1, 2], vec![100; 3], 2)];
         let mut planner = TilePlanner::new(1, 8);
         planner.first_fit(2).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
+            None,
             None,
             &ScalePolicy::new(2, 2),
             &RetryPolicy::default(),
             None,
             &mut planner,
         );
-        assert_eq!(s.windows[0][0], Some((0, 100)));
+        assert_eq!(s.slots[0][0], served(0, 100));
         // Request 1 queued at t=1; request 2's arrival at t=2 makes the
         // queue reach depth 2 → scale up serves request 1 (the head).
-        assert_eq!(s.windows[0][1], Some((2, 102)));
+        assert_eq!(s.slots[0][1], served(2, 102));
         assert_eq!(s.peak[0], 2);
         assert_eq!(
             s.events.first(),
@@ -3127,8 +3118,9 @@ mod tests {
         let loads = [load(vec![0, 1, 2, 3], vec![100; 4], 1)];
         let mut planner = TilePlanner::new(1, 1);
         planner.first_fit(1).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
+            None,
             None,
             &ScalePolicy::new(1, 4),
             &RetryPolicy::default(),
@@ -3137,7 +3129,7 @@ mod tests {
         );
         assert!(s.events.is_empty());
         assert_eq!(s.peak[0], 1);
-        assert_eq!(s.windows[0][3], Some((300, 400)));
+        assert_eq!(s.slots[0][3], served(300, 400));
     }
 
     #[test]
@@ -3150,8 +3142,9 @@ mod tests {
         let loads = [load(vec![0, 10], vec![100, 100], 2)];
         let mut planner = TilePlanner::new(1, 8);
         planner.first_fit(2).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
+            None,
             None,
             &ScalePolicy::default(),
             &RetryPolicy::new(2, 8),
@@ -3161,10 +3154,10 @@ mod tests {
         // Request 1 (queue head at the death) starts on the failover
         // replica immediately; request 0 re-arrives at 50 + 8 and runs
         // after it.
-        assert_eq!(s.windows[0][1], Some((50, 150)));
-        assert_eq!(s.windows[0][0], Some((150, 250)));
+        assert_eq!(s.slots[0][1], served(50, 150));
+        assert_eq!(s.slots[0][0], served(150, 250));
         assert_eq!(s.attempts[0], vec![2, 1]);
-        assert!(s.failed[0].iter().all(|f| !f));
+        assert!(!s.slots[0].contains(&Some(Slot::Failed)));
         let kinds: Vec<ScaleDirection> = s.events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![ScaleDirection::Quarantine, ScaleDirection::Failover]);
         assert_eq!(s.events[0].live, 0);
@@ -3183,16 +3176,16 @@ mod tests {
         let loads = [load(vec![0, 10, 20], vec![100; 3], 2)];
         let mut planner = TilePlanner::new(1, 2);
         planner.first_fit(2).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
+            None,
             None,
             &ScalePolicy::default(),
             &RetryPolicy::default(),
             Some((50, 0, 1)),
             &mut planner,
         );
-        assert_eq!(s.windows[0], vec![None, None, None]);
-        assert_eq!(s.failed[0], vec![true, true, true]);
+        assert_eq!(s.slots[0], vec![Some(Slot::Failed); 3]);
         let kinds: Vec<ScaleDirection> = s.events.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![ScaleDirection::Quarantine]);
         assert_eq!(s.shed[0], 0);
@@ -3204,8 +3197,9 @@ mod tests {
         let loads = [load(vec![0, 0, 0, 0, 200, 400], vec![100; 6], 1)];
         let mut planner = TilePlanner::new(1, 4);
         planner.first_fit(1).unwrap();
-        let s = tenant_schedule(
+        let s = schedule_streams(
             &loads,
+            None,
             None,
             &ScalePolicy::new(2, 3),
             &RetryPolicy::default(),
@@ -3213,7 +3207,7 @@ mod tests {
             &mut planner,
         );
         // Everything completes.
-        assert!(s.windows[0].iter().all(Option::is_some));
+        assert!(s.slots[0].iter().all(|w| matches!(w, Some(Slot::Served { .. }))));
         // Slot 0 (the materialized deployment) is never released.
         assert!(s.events.iter().filter(|e| e.kind == ScaleDirection::Down).all(|e| e.slot != 0));
         // A released replica has no request in flight at the release
@@ -3221,7 +3215,7 @@ mod tests {
         for e in s.events.iter().filter(|e| e.kind == ScaleDirection::Down) {
             for (r, slot) in s.replica_of[e.stream].iter().enumerate() {
                 if *slot == Some(e.slot) {
-                    let (start, finish) = s.windows[e.stream][r].unwrap();
+                    let (start, finish) = s.slots[e.stream][r].and_then(Slot::busy_span).unwrap();
                     assert!(
                         finish <= e.cycle || start > e.cycle,
                         "slot {} released at {} with request {} in flight ({}..{})",
