@@ -14,26 +14,28 @@
 //!   cycles, and inter-node words are properties of the compiler +
 //!   simulator, identical on any host.
 //! - **Wall-clock** (informational unless `--wall`): absolute instr/s and
-//!   the run-ahead/reference speedup ratio vary with host speed and load,
-//!   so they are printed for trend-watching but only enforced when
-//!   explicitly requested (e.g. on dedicated hardware).
+//!   the per-workload compiled/reference speedup ratio vary with host
+//!   speed and load, so they are printed for trend-watching but only
+//!   enforced when explicitly requested (e.g. on dedicated hardware).
 //!
-//! A third class is the **absolute engine-speedup floors**: the run's
-//! top-level `run_ahead_speedup_vs_reference_min` (the worst per-workload
-//! run-ahead/reference ratio, which the sync-bound rows keep honest) must
+//! A third class is the **absolute engine-speedup floors** on the
+//! current run: the worst per-workload compiled/reference ratio of its
+//! `single_thread` rows (which the sync-bound rows keep honest) must
 //! stay at or above `--speedup-floor` (default
-//! [`DEFAULT_SPEEDUP_FLOOR`]), and the compiled engine's
-//! `compiled_speedup_vs_reference_min` / `compiled_speedup_vs_run_ahead_min`
-//! (worst ratios over the *instruction-bound* rows, where pre-decoded
-//! segments must pay off) must stay at or above `--compiled-floor`
-//! (default [`DEFAULT_COMPILED_FLOOR`]) and `--compiled-runahead-floor`
-//! (default [`DEFAULT_COMPILED_RUNAHEAD_FLOOR`]). All engines run on the
-//! same host in the same process, so the ratios are host-normalized; the
-//! default floors sit well under the blessed values to absorb
-//! shared-runner noise.
+//! [`DEFAULT_SPEEDUP_FLOOR`]), and its top-level
+//! `compiled_speedup_vs_reference_min` (the worst ratio over the
+//! *instruction-bound* rows, where pre-decoded segments must pay off)
+//! at or above `--compiled-floor` (default [`DEFAULT_COMPILED_FLOOR`]).
+//! Both engines run on the same host in the same process, so the ratios
+//! are host-normalized; the default floors sit well under the blessed
+//! values to absorb shared-runner noise.
 //!
 //! Usage:
-//! `compare_bench [--baseline PATH] [--current PATH] [--tolerance FRAC] [--speedup-floor R] [--compiled-floor R] [--compiled-runahead-floor R] [--wall] [--explain]`
+//! `compare_bench [--baseline PATH] [--current PATH] [--tolerance FRAC] [--speedup-floor R] [--compiled-floor R] [--wall] [--explain]`
+//!
+//! Any other argument, or a flag missing its value, exits nonzero with
+//! the usage line: a stale or misspelt floor must not fall back to the
+//! default silently.
 //!
 //! `--explain` prints the key convention — every metric the gate
 //! inspects, per section, classed gated vs. `info` — and exits without
@@ -47,14 +49,13 @@ use puma_bench::json::{parse, Json};
 use puma_bench::print_table;
 use std::process::ExitCode;
 
-/// Gated floor on the current run's worst per-workload run-ahead vs
-/// reference speedup. The sync-bound rows (NMTL3 / SyncFanout) measure
-/// 1.74–2.1× across runs on a 1-CPU host (up from 1.77× before the
-/// per-tile event horizons — against a reference leg that itself got
-/// ~55% faster from the shared queue/reset work); the floor sits ~15%
-/// under the *worst* observed ratio so shared-runner noise cannot flake
-/// CI, while a real scheduler regression (collapse toward per-event
-/// stepping, ≈1×) still fails hard.
+/// Gated floor on the current run's worst per-workload compiled vs
+/// reference speedup. The sync-bound rows (NMTL3 / SyncFanout) bound it:
+/// their time goes to the run-ahead scheduler's park/wake machinery,
+/// not to decode. The floor sits well under the ratios those rows
+/// measure so shared-runner noise cannot flake CI, while a real
+/// scheduler regression (collapse toward per-event stepping, ≈1×) still
+/// fails hard.
 const DEFAULT_SPEEDUP_FLOOR: f64 = 1.5;
 
 /// Gated floor on the compiled engine's worst instruction-bound speedup
@@ -65,14 +66,29 @@ const DEFAULT_SPEEDUP_FLOOR: f64 = 1.5;
 /// ratio further by cheapening the reference-visible memory protocol
 /// less than the compiled hot loop). The floor sits ~15% under the
 /// worst observed ratio, and a real segment-builder regression
-/// (collapse to per-instruction interpretation, ≈ run-ahead's ratio)
-/// still fails hard.
+/// (collapse to per-instruction interpretation) still fails hard.
 const DEFAULT_COMPILED_FLOOR: f64 = 3.5;
 
-/// Gated floor on the compiled engine's worst instruction-bound speedup
-/// vs the run-ahead engine — the check that the pre-decode actually buys
-/// something *beyond* the scheduler win it rides on.
-const DEFAULT_COMPILED_RUNAHEAD_FLOOR: f64 = 1.2;
+const USAGE: &str = "usage: compare_bench [--baseline PATH] [--current PATH] \
+     [--tolerance FRAC] [--speedup-floor R] [--compiled-floor R] [--wall] [--explain]";
+
+/// The flags that take a value; `--wall` and `--explain` take none.
+const VALUED_FLAGS: [&str; 5] =
+    ["--baseline", "--current", "--tolerance", "--speedup-floor", "--compiled-floor"];
+
+/// The first argument that is not a known flag (or is a valued flag
+/// missing its value), if any.
+fn unrecognised(args: &[String]) -> Option<&str> {
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            flag if VALUED_FLAGS.contains(&flag) && i + 1 < args.len() => i += 2,
+            "--wall" | "--explain" => i += 1,
+            other => return Some(other),
+        }
+    }
+    None
+}
 
 /// Direction in which a metric counts as a regression.
 #[derive(Clone, Copy, PartialEq)]
@@ -459,23 +475,14 @@ fn print_explain(gate_wall: bool) {
             "gated on the zero-fault anchor rows; info (fault) on injected-fault rows".to_string(),
         ]);
     }
-    for key in [
-        "run_ahead_speedup_vs_reference_min",
-        "compiled_speedup_vs_reference_min",
-        "compiled_speedup_vs_run_ahead_min",
+    let floor = "gated (absolute floor on the current run; tolerance does not apply)";
+    let per_row = if gate_wall { "gated (--wall)" } else { "info (--wall gates it)" };
+    for (key, class) in [
+        ("compiled_vs_reference (worst row)", floor),
+        ("compiled_speedup_vs_reference_min", floor),
+        ("compiled_vs_reference (per row)", per_row),
     ] {
-        table.push(vec![
-            "speedup".to_string(),
-            key.to_string(),
-            "gated (absolute floor on the current run; tolerance does not apply)".to_string(),
-        ]);
-    }
-    for key in ["run_ahead_vs_reference", "compiled_vs_reference"] {
-        table.push(vec![
-            "speedup".to_string(),
-            key.to_string(),
-            if gate_wall { "gated (--wall)" } else { "info (--wall gates it)" }.to_string(),
-        ]);
+        table.push(vec!["speedup".to_string(), key.to_string(), class.to_string()]);
     }
     print_table(
         "Perf-gate key convention (gated keys fail closed: absent = regressed)",
@@ -492,6 +499,10 @@ fn load(path: &str) -> Json {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unrecognised(&args) {
+        eprintln!("compare_bench: unrecognised or incomplete argument {arg:?}\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let get = |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1));
     let baseline_path = get("--baseline").map_or("BENCH_baseline.json", String::as_str);
     let current_path = get("--current").map_or("BENCH_sim_throughput.json", String::as_str);
@@ -501,10 +512,6 @@ fn main() -> ExitCode {
         .map_or(DEFAULT_SPEEDUP_FLOOR, |t| t.parse().expect("--speedup-floor takes a ratio"));
     let compiled_floor: f64 = get("--compiled-floor")
         .map_or(DEFAULT_COMPILED_FLOOR, |t| t.parse().expect("--compiled-floor takes a ratio"));
-    let compiled_runahead_floor: f64 = get("--compiled-runahead-floor")
-        .map_or(DEFAULT_COMPILED_RUNAHEAD_FLOOR, |t| {
-            t.parse().expect("--compiled-runahead-floor takes a ratio")
-        });
     let gate_wall = args.iter().any(|a| a == "--wall");
     if args.iter().any(|a| a == "--explain") {
         print_explain(gate_wall);
@@ -538,34 +545,37 @@ fn main() -> ExitCode {
     // transient burst during one engine's timing loop still skews the
     // ratio, so on shared CI runners it stays informational and is only
     // enforced with `--wall` (dedicated hardware).
-    for engine_metric in ["run_ahead_vs_reference", "compiled_vs_reference"] {
-        let engine = engine_metric.split("_vs_").next().unwrap_or(engine_metric);
-        let current_speedups = speedups(&current, engine);
-        for (workload, base_ratio) in speedups(&baseline, engine) {
-            checks.push(Check {
-                section: "speedup",
-                key: workload.clone(),
-                metric: engine_metric,
-                baseline: Some(base_ratio),
-                current: current_speedups.iter().find(|(w, _)| *w == workload).map(|(_, r)| *r),
-                worse: Worse::Lower,
-                gated: gate_wall,
-                info_label: "info",
-            });
-        }
+    let current_speedups = speedups(&current, "compiled");
+    for (workload, base_ratio) in speedups(&baseline, "compiled") {
+        checks.push(Check {
+            section: "speedup",
+            key: workload.clone(),
+            metric: "compiled_vs_reference",
+            baseline: Some(base_ratio),
+            current: current_speedups.iter().find(|(w, _)| *w == workload).map(|(_, r)| *r),
+            worse: Worse::Lower,
+            gated: gate_wall,
+            info_label: "info",
+        });
     }
 
     let mut table = Vec::new();
     let mut regressions = 0usize;
     // Absolute engine-speedup floors: hard bounds on the current run, not
     // relative-to-baseline drift checks (the tolerance does not apply).
-    let floors: [(&str, &str, f64); 3] = [
-        ("run_ahead_speedup_vs_reference_min", "min-over-workloads", speedup_floor),
-        ("compiled_speedup_vs_reference_min", "min-instruction-bound", compiled_floor),
-        ("compiled_speedup_vs_run_ahead_min", "min-instruction-bound", compiled_runahead_floor),
+    // A run without compiled rows or without the header key fails closed.
+    let worst_row = current_speedups.iter().map(|&(_, r)| r).reduce(f64::min);
+    let instruction_bound = current.get("compiled_speedup_vs_reference_min").and_then(Json::as_f64);
+    let floors = [
+        ("compiled_vs_reference (worst row)", "min-over-workloads", worst_row, speedup_floor),
+        (
+            "compiled_speedup_vs_reference_min",
+            "min-instruction-bound",
+            instruction_bound,
+            compiled_floor,
+        ),
     ];
-    for (key, scope, floor) in floors {
-        let current_min_speedup = current.get(key).and_then(Json::as_f64);
+    for (key, scope, current_min_speedup, floor) in floors {
         let floor_ok = current_min_speedup.is_some_and(|s| s >= floor);
         regressions += !floor_ok as usize;
         table.push(vec![

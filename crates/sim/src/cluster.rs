@@ -10,13 +10,14 @@
 //! the globally earliest work first is exact: nothing a later node does
 //! can reach back before it.
 //!
-//! The run-ahead engine keeps working inside a cluster. Before stepping a
-//! node the scheduler hands it an *external horizon* — the earliest global
-//! cycle at which any inter-node packet could still arrive (in-flight
-//! arrivals, plus every other node's next event time + link latency). The
-//! node may execute synchronization instructions off-queue only strictly
-//! below that horizon; at or past it, it re-enters its event queue so the
-//! delivery interleaves correctly.
+//! The compiled engine's run-ahead scheduler keeps working inside a
+//! cluster. Before stepping a node the scheduler hands it an *external
+//! horizon* — the earliest global cycle at which any inter-node packet
+//! could still arrive (in-flight arrivals, plus every other node's next
+//! event time + link latency). The node may execute synchronization
+//! instructions off-queue only strictly below that horizon; at or past
+//! it, it re-enters its event queue so the delivery interleaves
+//! correctly.
 
 use crate::compiled::CompiledImage;
 use crate::fifo::Packet;
@@ -153,8 +154,8 @@ impl ClusterSim {
     }
 
     /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order — `Some` only once every node holds one (i.e. after
-    /// `set_engine(Compiled)` or adoption). The images are read-only, so
+    /// in node order — `Some` only once every node holds one (after a
+    /// compiled run, `set_engine(Compiled)` or adoption). The images are read-only, so
     /// worker replicas simulating the same sharded model share them
     /// instead of recompiling per replica.
     pub fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
@@ -532,7 +533,7 @@ mod tests {
 
     #[test]
     fn internode_send_delivers_and_is_charged() {
-        for engine in [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled] {
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
             let mut cluster = ClusterSim::new(
                 tiny_config(),
                 &two_node_images(),
@@ -573,7 +574,6 @@ mod tests {
             cluster.stats().clone()
         };
         let reference = run(SimEngine::Reference);
-        assert_eq!(reference, run(SimEngine::RunAhead));
         assert_eq!(reference, run(SimEngine::Compiled));
     }
 
@@ -647,7 +647,7 @@ mod tests {
         let mut n1 = MachineImage::new(1, 2, 2);
         n1.tiles[0].program = asm_program("recv @8 f3 1 4\nhalt\n");
         let images = vec![MachineImage::new(1, 2, 2), n1];
-        for engine in [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled] {
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
             let mut cluster = ClusterSim::new(
                 tiny_config(),
                 &images,

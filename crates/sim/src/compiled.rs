@@ -4,8 +4,9 @@
 //! `fetch` → 13-arm decode → operand resolution → an area/power-model
 //! walk per executed instruction, per request, forever is pure
 //! interpreter tax. This module compiles each core/tile-control program
-//! **once** (at [`NodeSim::set_engine`] time, or adopted pre-built via
-//! [`NodeSim::adopt_compiled_image`]) into a pc-indexed array of
+//! **once** (on first prime or at [`NodeSim::set_engine`] time, or
+//! adopted pre-built via [`NodeSim::adopt_compiled_image`]) into a
+//! pc-indexed array of
 //! `MicroOp`s with every static decision hoisted out of the hot loop:
 //!
 //! - **Decode** happens here, never at execution time: each pc maps to a
@@ -33,12 +34,11 @@
 //! Segment boundaries fall exactly at the synchronization points the
 //! run-ahead scheduler already knows: attribute-buffer load/store, FIFO
 //! send/receive, control flow, and anything register-visible. The
-//! scheduler itself (per-tile event horizons, continuations, wakes) is
-//! shared verbatim with [`SimEngine::RunAhead`] — see the segment-safety
-//! invariant in the [`crate::machine`] module docs.
+//! scheduler itself (per-tile event horizons, continuations, wakes) lives
+//! in [`crate::machine`] — see the segment-safety invariant in its module
+//! docs.
 //!
 //! [`SimEngine::Compiled`]: crate::SimEngine::Compiled
-//! [`SimEngine::RunAhead`]: crate::SimEngine::RunAhead
 //! [`NodeSim::set_engine`]: crate::NodeSim::set_engine
 //! [`NodeSim::adopt_compiled_image`]: crate::NodeSim::adopt_compiled_image
 //! [`RunStats`]: crate::RunStats
@@ -153,8 +153,8 @@ pub(crate) struct CompiledProgram {
     /// op* — i.e. the start-time offset of the segment's last op. Bulk
     /// charging is safe against the cycle cap iff `t + seg_check[pc] <=
     /// max_cycles` (every op in the suffix then *starts* at or under the
-    /// cap, which is exactly the per-instruction check the other engines
-    /// apply); otherwise the engine degrades to per-op stepping so the
+    /// cap, which is exactly the per-instruction check the reference
+    /// engine applies); otherwise the engine degrades to per-op stepping so the
     /// cap fault lands on the same deterministic instruction.
     pub(crate) seg_check: Vec<u64>,
 }
@@ -186,7 +186,7 @@ impl CompiledImage {
     /// instantiating a simulator — the per-model build a multi-tenant
     /// fabric composes via [`CompiledImage::compose`]. Produces exactly
     /// the image a [`NodeSim`](crate::NodeSim) over `image` would build
-    /// lazily on [`set_engine`](crate::NodeSim::set_engine).
+    /// lazily on first prime or [`set_engine`](crate::NodeSim::set_engine).
     ///
     /// Note: `Interp` micro-ops embed the original instruction (`send`
     /// targets included), so compile the image *at the tile base it

@@ -19,14 +19,15 @@
 //!   what makes node-scale models tractable to simulate.
 //!
 //! Two execution engines with bit-identical semantics (see [`SimEngine`]):
-//! the reference per-instruction event loop, and the default run-ahead
-//! engine, which executes straight-line runs of core-local instructions
-//! inside one event and re-enters the queue only at synchronization
-//! points.
+//! the reference per-instruction event loop, kept as the differential
+//! oracle, and the default compiled engine. The compiled engine runs a
+//! *run-ahead scheduler* — it executes straight-line runs of core-local
+//! instructions inside one event and re-enters the queue only at
+//! synchronization points — over programs pre-decoded into micro-ops.
 //!
 //! # Run-ahead safety: the per-tile event-horizon invariant
 //!
-//! The run-ahead engine may execute a *synchronization* instruction
+//! The run-ahead scheduler may execute a *synchronization* instruction
 //! (attribute-buffer load/store, FIFO send/receive) for an agent of tile
 //! `T` at local time `t` **outside** the event queue only when nothing
 //! still queued could change tile `T`'s observable state at or before
@@ -91,9 +92,9 @@
 //!
 //! # Compiled segments: the segment-boundary safety invariant
 //!
-//! The [`SimEngine::Compiled`] engine shares this scheduler verbatim
-//! (horizons, continuations, condition-indexed wakes) and replaces only
-//! the fetch/decode/cost path with pre-decoded micro-ops (see
+//! The [`SimEngine::Compiled`] engine drives this scheduler (horizons,
+//! continuations, condition-indexed wakes) over pre-decoded micro-ops
+//! instead of a per-instruction fetch/decode/cost path (see
 //! [`crate::compiled`]). Its bulk-charged *segments* must uphold two
 //! boundary rules, checked against the same invariants:
 //!
@@ -102,14 +103,14 @@
 //!    effect — are bulk-charged; every instruction that can observe or
 //!    mutate shared tile state executes through the interpreter and, when
 //!    it [`may block`](Instruction::may_block), re-checks
-//!    `NodeSim::tile_clear_until` exactly as run-ahead does. A segment
+//!    `NodeSim::tile_clear_until` before it executes. A segment
 //!    is therefore invisible to every other agent, and charging it in one
 //!    step is indistinguishable from per-instruction execution.
 //! 2. **A segment never crosses the cycle cap.** Bulk charging is gated
 //!    on `t + seg_check ≤ max_cycles` (`seg_check` being the start-time
 //!    offset of the segment's last op); past that, execution degrades to
 //!    per-op stepping with the per-instruction cap check, so a runaway
-//!    program faults at the same deterministic instruction on all three
+//!    program faults at the same deterministic instruction on both
 //!    engines.
 
 use crate::compiled::{CompiledImage, MicroOp, OpCost, NO_CHARGE};
@@ -176,24 +177,22 @@ impl ResidentModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimEngine {
     /// The original per-instruction event loop: every executed instruction
-    /// is one heap round-trip. Kept as the differential baseline and for
+    /// is one heap round-trip. Kept as the differential oracle and for
     /// event-level debugging.
     Reference,
-    /// Run-ahead execution (default): an agent event executes a whole
-    /// straight-line run of core-local instructions back-to-back,
-    /// accumulating time locally, and re-enters the queue only at
-    /// synchronization points (attribute-buffer loads/stores, FIFO
-    /// send/receive, MVM completion, halt).
-    #[default]
-    RunAhead,
-    /// Run-ahead over pre-decoded micro-op segments: the same scheduler
-    /// as [`SimEngine::RunAhead`], but each program is compiled once (at
+    /// Run-ahead execution over pre-decoded micro-ops (default): an agent
+    /// event executes a whole straight-line run of core-local
+    /// instructions back-to-back, accumulating time locally, and
+    /// re-enters the queue only at synchronization points
+    /// (attribute-buffer loads/stores, FIFO send/receive, halt). Each
+    /// program is compiled once — on first prime, at
     /// [`NodeSim::set_engine`], or shared pre-built via
-    /// [`NodeSim::adopt_compiled_image`]) into dense micro-ops with
+    /// [`NodeSim::adopt_compiled_image`] — into dense micro-ops with
     /// decode, operand resolution, and per-op timing/energy hoisted out
     /// of the hot loop, and maximal pure-charge runs accounted as whole
     /// segments (see [`crate::compiled`] and the module docs'
     /// segment-boundary invariant).
+    #[default]
     Compiled,
 }
 
@@ -261,7 +260,7 @@ enum Step {
 }
 
 /// Why a blocked agent is parked: the precise state transition that can
-/// make its instruction succeed. The run-ahead engine wakes an agent only
+/// make its instruction succeed. The compiled engine wakes an agent only
 /// when a matching transition happens (spurious retries are pure event
 /// overhead — they dominated the seed's event count); the reference
 /// engine preserves the seed behaviour of retrying every parked agent on
@@ -322,7 +321,7 @@ impl WaitCond {
 
 /// A state transition on a tile that may unblock parked agents. Every
 /// generation-bumping operation records one of these; they drive both the
-/// reference engine's wake-all and the run-ahead engine's targeted wakes.
+/// reference engine's wake-all and the compiled engine's targeted wakes.
 #[derive(Debug, Clone, Copy)]
 enum TileChange {
     /// Words `[start, start + len)` became valid (a write landed).
@@ -440,7 +439,7 @@ pub struct NodeSim {
     stats: RunStats,
     /// Energy accumulators, one per agent (per tile: cores, then the tile
     /// control unit), merged into `stats` by [`NodeSim::finalize_stats`].
-    /// The run-ahead engine uses the flat arrays; the reference engine
+    /// The compiled engine uses the flat arrays; the reference engine
     /// uses seed-style [`EnergyStats`] maps (`agent_energy_maps`) with the
     /// identical per-agent add sequence, so the merged totals are
     /// bit-identical while the reference keeps the seed's per-instruction
@@ -480,7 +479,7 @@ pub struct NodeSim {
     /// Per-tile next-event index: for each tile, the (unordered)
     /// `(time, conflict group)` pairs of the queued events targeting it,
     /// maintained incrementally on every push and pop — external
-    /// deliveries included — while the run-ahead engine is active. Its
+    /// deliveries included — while the compiled engine is active. Its
     /// time-minimum is the tile's direct event horizon (see the module
     /// docs); a flat list beats a search tree here because a tile rarely
     /// has more than its agent count in flight.
@@ -534,13 +533,14 @@ pub struct NodeSim {
     /// Inter-node packets awaiting pickup by the cluster scheduler.
     outbox: Vec<OutboundPacket>,
     /// Run-ahead external horizon: the earliest global cycle at which an
-    /// inter-node packet could still arrive. The run-ahead engine may not
+    /// inter-node packet could still arrive. The compiled engine may not
     /// execute a blocking instruction at or past this time outside the
     /// event queue (it could miss the delivery). `u64::MAX` standalone.
     horizon: u64,
     /// The pre-decoded micro-op image for [`SimEngine::Compiled`]: built
-    /// lazily on [`NodeSim::set_engine`] or adopted pre-built from a
-    /// sibling replica ([`NodeSim::adopt_compiled_image`]). Read-only and
+    /// lazily on first prime (or on [`NodeSim::set_engine`]) unless one
+    /// was adopted pre-built from a sibling replica
+    /// ([`NodeSim::adopt_compiled_image`]). Read-only and
     /// preserved across [`NodeSim::reset`] — programs are immutable after
     /// construction, so one build serves every request.
     compiled: Option<Arc<CompiledImage>>,
@@ -1020,8 +1020,8 @@ impl NodeSim {
     }
 
     /// Event-queue pops processed since the last [`NodeSim::reset`].
-    /// Queue events are the scheduler overhead the run-ahead and
-    /// compiled engines exist to avoid; benchmarks report this per
+    /// Queue events are the scheduler overhead the compiled engine's
+    /// run-ahead scheduler exists to avoid; benchmarks report this per
     /// executed instruction.
     pub fn queue_events(&self) -> u64 {
         self.queue_events
@@ -1088,20 +1088,21 @@ impl NodeSim {
         self.max_cycles = max_cycles;
     }
 
-    /// Selects the execution engine (default [`SimEngine::RunAhead`]).
+    /// Selects the execution engine (default [`SimEngine::Compiled`]).
     ///
     /// Selecting [`SimEngine::Compiled`] compiles every program into
-    /// micro-op segments on first selection (a one-time cost, amortized
-    /// over every subsequent run); use
+    /// micro-op segments unless an image is already held (a one-time
+    /// cost, amortized over every subsequent run; without this call the
+    /// default engine pays it on first prime instead); use
     /// [`NodeSim::adopt_compiled_image`] first to share a sibling
     /// replica's build instead.
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
-        if engine == SimEngine::Compiled && self.compiled.is_none() {
-            self.compiled = Some(Arc::new(self.build_compiled()));
+        if engine == SimEngine::Compiled {
+            self.ensure_compiled();
         }
-        // The per-tile horizon index is maintained only while a
-        // run-ahead-scheduled engine is active (the reference engine must
+        // The per-tile horizon index is maintained only while the
+        // compiled engine is active (the reference engine must
         // keep seed-faithful per-event cost). Rebuild it here so
         // switching engines with events already queued stays correct.
         for index in &mut self.tile_next {
@@ -1131,16 +1132,20 @@ impl NodeSim {
         }
     }
 
-    /// Compiles this node's programs into a [`CompiledImage`].
-    fn build_compiled(&self) -> CompiledImage {
-        CompiledImage::build(
-            &self.cfg,
-            &self.timing,
-            self.mode,
-            self.tiles.iter().map(|tile| {
-                (tile.cores.iter().map(|c| &*c.program).collect::<Vec<_>>(), &*tile.tile_program)
-            }),
-        )
+    /// Compiles this node's programs into a [`CompiledImage`] unless one
+    /// is already held (built earlier or adopted).
+    fn ensure_compiled(&mut self) {
+        if self.compiled.is_none() {
+            self.compiled = Some(Arc::new(CompiledImage::build(
+                &self.cfg,
+                &self.timing,
+                self.mode,
+                self.tiles.iter().map(|tile| {
+                    let cores = tile.cores.iter().map(|c| &*c.program).collect::<Vec<_>>();
+                    (cores, &*tile.tile_program)
+                }),
+            )));
+        }
     }
 
     /// The pre-decoded image backing [`SimEngine::Compiled`], if one has
@@ -1152,9 +1157,9 @@ impl NodeSim {
     }
 
     /// Adopts a pre-built compiled image instead of building one on
-    /// [`NodeSim::set_engine`]. The image must come from a simulator
-    /// built with the same configuration, machine image, and
-    /// [`SimMode`] (replicas of one serving pool satisfy this by
+    /// first prime or [`NodeSim::set_engine`]. The image must come from
+    /// a simulator built with the same configuration, machine image,
+    /// and [`SimMode`] (replicas of one serving pool satisfy this by
     /// construction).
     pub fn adopt_compiled_image(&mut self, image: Arc<CompiledImage>) {
         debug_assert!(
@@ -1329,7 +1334,7 @@ impl NodeSim {
         let slot = self.agent_slot(agent);
         match self.engine {
             SimEngine::Reference => self.agent_energy_maps[slot].add(component, nj, cycles),
-            SimEngine::RunAhead | SimEngine::Compiled => {
+            SimEngine::Compiled => {
                 let acc = &mut self.agent_energy[slot];
                 acc.nj[component.index()] += nj;
                 acc.busy[component.index()] += cycles;
@@ -1484,6 +1489,9 @@ impl NodeSim {
     /// clears every queue/scheduler leftover, then seeds the live agents
     /// of `tiles` at global cycle `at`.
     fn prime_tiles(&mut self, at: u64, tiles: std::ops::Range<usize>) -> Result<()> {
+        if self.engine == SimEngine::Compiled {
+            self.ensure_compiled();
+        }
         self.queue.clear();
         // The run-ahead scheduler state mirrors the queue (per-tile
         // next-event index) or must be empty between steps
@@ -1548,7 +1556,7 @@ impl NodeSim {
     }
 
     /// Files an event into the queue, keeping the per-tile next-event
-    /// index in sync (run-ahead-scheduled engines only; the reference
+    /// index in sync (compiled engine only; the reference
     /// engine never reads it). The single enqueue path for agents,
     /// wakes, and deliveries.
     fn enqueue(&mut self, time: u64, priority: u64, kind: EventKind) {
@@ -1665,8 +1673,8 @@ impl NodeSim {
                 // Instruction dispatches on a dead tile are suppressed:
                 // the agent halts where it stood. Every engine applies
                 // this check at instruction-start timestamps (here for
-                // the reference engine; at the run-ahead/compiled loop
-                // tops otherwise), so death is engine-invariant.
+                // the reference engine; at the compiled loop top
+                // otherwise), so death is engine-invariant.
                 self.set_halted(agent);
                 self.death_fired = true;
                 self.stats.dead_tile_halts += 1;
@@ -1684,9 +1692,6 @@ impl NodeSim {
                         self.set_halted(agent);
                     }
                 },
-                SimEngine::RunAhead => {
-                    self.run_ahead(agent, now)?;
-                }
                 SimEngine::Compiled => {
                     self.run_compiled(agent, now)?;
                 }
@@ -1730,13 +1735,10 @@ impl NodeSim {
             // remaining ones (all later-keyed) are not owed execution
             // before its first instruction; its *subsequent*
             // synchronization instructions re-check the horizon — which
-            // counts pending continuations — inside `run_ahead`.
+            // counts pending continuations — inside `run_compiled`.
             let group = self.groups[agent.tile as usize].agent_group(agent);
             if self.tile_clear_for_resume(agent.tile, group, t0) {
-                match self.engine {
-                    SimEngine::Compiled => self.run_compiled(agent, t0)?,
-                    _ => self.run_ahead(agent, t0)?,
-                }
+                self.run_compiled(agent, t0)?;
             } else {
                 self.enqueue(t0, prio, EventKind::AgentReady(agent));
             }
@@ -1901,7 +1903,8 @@ impl NodeSim {
         self.group_min = self.groups.iter().map(|g| vec![u64::MAX; g.count as usize + 1]).collect();
     }
 
-    /// Sets the run-ahead external horizon (see the `horizon` field).
+    /// Sets the external horizon of the run-ahead scheduler (see the
+    /// `horizon` field).
     pub fn set_external_horizon(&mut self, horizon: u64) {
         self.horizon = horizon;
     }
@@ -1945,75 +1948,6 @@ impl NodeSim {
         Ok(())
     }
 
-    /// Executes a whole straight-line run of instructions for one agent,
-    /// accumulating time locally, and re-enters the event queue only at
-    /// synchronization points: an upcoming attribute-buffer load/store or
-    /// FIFO send/receive (which must observe global tile state at its own
-    /// timestamp, after every earlier event has run), and MVM completion.
-    /// Core-local instructions (vector/scalar ALU, set, copy, jump,
-    /// branch, halt) touch no state another agent can observe, so
-    /// executing them back-to-back inside one event is indistinguishable
-    /// from the reference per-instruction loop — minus its heap traffic.
-    fn run_ahead(&mut self, agent: AgentId, now: u64) -> Result<()> {
-        let tile = agent.tile;
-        let group = self.groups[tile as usize].agent_group(agent);
-        let mut t = now;
-        let mut first = true;
-        loop {
-            // The reference engine checks the cap when each instruction's
-            // event pops; locally executed instructions get the same check
-            // at the same timestamps, so runaway straight-line loops fail
-            // deterministically instead of spinning forever off-queue.
-            if t > self.max_cycles {
-                return Err(self.cycle_cap_error());
-            }
-            if self.tile_dead(tile, t) {
-                // Same dead-tile halt the reference engine applies at
-                // dispatch, at the same instruction-start timestamp.
-                self.set_halted(agent);
-                self.death_fired = true;
-                self.stats.dead_tile_halts += 1;
-                return Ok(());
-            }
-            let (instr, pc) = self.fetch(agent)?;
-            if !first && instr.may_block() && !self.tile_clear_until(tile, group, t) {
-                // Blocking point whose tile could still change at or
-                // before its timestamp: stop the segment and execute it
-                // after every earlier event (another agent's store, a
-                // packet delivery) has updated the tile state. The
-                // re-entry is deferred as a continuation: if the tile
-                // horizon clears once the earlier continuations have run,
-                // it resumes inline; otherwise it re-enters the queue.
-                // When the tile horizon is clear the lookahead is safe —
-                // see the module docs for the invariant.
-                let order = self.next_seq();
-                self.continuations.push((agent, t, agent_priority(tile, agent.core), order));
-                self.cont_min = self.cont_min.min(t);
-                return Ok(());
-            }
-            self.last_time = self.last_time.max(t);
-            match self.execute_instr(agent, instr, pc, t)? {
-                Step::Advance { next_pc, latency } => {
-                    // All non-blocking instructions — the long-latency MVM
-                    // included — are core-local, so the run continues
-                    // without consulting the queue; only the next
-                    // synchronization instruction re-checks the horizon.
-                    self.set_pc(agent, next_pc);
-                    t += latency;
-                }
-                Step::Blocked(cond) => {
-                    self.tiles[tile as usize].parked.park(agent, t, cond);
-                    return Ok(());
-                }
-                Step::Halted => {
-                    self.set_halted(agent);
-                    return Ok(());
-                }
-            }
-            first = false;
-        }
-    }
-
     /// The current program counter of one agent.
     fn agent_pc(&self, agent: AgentId) -> u32 {
         let tile = &self.tiles[agent.tile as usize];
@@ -2042,15 +1976,31 @@ impl NodeSim {
         self.instr_counts[cost.cat as usize] += 1;
     }
 
-    /// [`NodeSim::run_ahead`] over the pre-decoded micro-op program: the
-    /// identical scheduler loop (per-instruction cap check, blocking-op
-    /// horizon check, continuation deferral, park/halt handling), with
-    /// fetch/decode replaced by a pc-indexed micro-op array, per-op
-    /// timing/energy read from precomputed [`OpCost`]s, and maximal
-    /// pure-charge runs accounted as whole segments under the
-    /// segment-boundary invariant (module docs).
+    /// Executes a whole straight-line run of instructions for one agent,
+    /// accumulating time locally, and re-enters the event queue only at
+    /// synchronization points: an upcoming attribute-buffer load/store or
+    /// FIFO send/receive, which must observe global tile state at its own
+    /// timestamp after every earlier event has run. Core-local
+    /// instructions touch no state another agent can observe, so
+    /// executing them back-to-back inside one event is indistinguishable
+    /// from the reference per-instruction loop — minus its heap traffic.
+    /// The loop keeps the reference engine's per-instruction cap and
+    /// dead-tile checks at the same timestamps; fetch/decode is a
+    /// pc-indexed micro-op array, per-op timing/energy come from
+    /// precomputed [`OpCost`]s, and maximal pure-charge runs are
+    /// accounted as whole segments under the segment-boundary invariant
+    /// (module docs).
     fn run_compiled(&mut self, agent: AgentId, now: u64) -> Result<()> {
-        let image = self.compiled.clone().expect("Compiled engine always holds a compiled image");
+        // Lend the image out of `self` for the call rather than clone its
+        // `Arc` on every dispatch; nothing below reads `self.compiled`.
+        let image = self.compiled.take().expect("Compiled engine always holds a compiled image");
+        let outcome = self.run_compiled_on(&image, agent, now);
+        self.compiled = Some(image);
+        outcome
+    }
+
+    /// The body of [`NodeSim::run_compiled`] over a lent image.
+    fn run_compiled_on(&mut self, image: &CompiledImage, agent: AgentId, now: u64) -> Result<()> {
         let prog = image.program(
             agent.tile as usize,
             if agent.is_tile_ctl() { None } else { Some(agent.core as usize) },
@@ -2070,12 +2020,12 @@ impl NodeSim {
         let mut first = true;
         loop {
             // Same per-instruction cap check, at the same timestamps, as
-            // the other engines (module docs, boundary rule 2).
+            // the reference engine (module docs, boundary rule 2).
             if t > self.max_cycles {
                 return Err(self.cycle_cap_error());
             }
             if self.tile_dead(tile, t) {
-                // Same dead-tile halt as the other engines, at the same
+                // Same dead-tile halt as the reference engine, at the same
                 // instruction-start timestamp.
                 self.set_halted(agent);
                 self.death_fired = true;
@@ -2094,7 +2044,7 @@ impl NodeSim {
                     // Bulk-charge the whole pure-charge suffix when every
                     // op in it starts at or under the cap; otherwise take
                     // one op per loop iteration so the cap check above
-                    // faults at the exact instruction the per-op engines
+                    // faults at the exact instruction the reference engine
                     // would (boundary rule 2).
                     let start = pc as usize;
                     // Last-op start time of the bulk run; it must clear
@@ -2118,7 +2068,7 @@ impl NodeSim {
                     let acc = &mut self.agent_energy[slot];
                     for cost in &prog.costs[start..end] {
                         // Per-op f64 adds in program order (bit-identity
-                        // with the per-instruction engines); integer
+                        // with the reference engine); integer
                         // aggregates are bulk either way.
                         acc.nj[cost.comp as usize] += cost.nj;
                         acc.busy[cost.comp as usize] += u64::from(cost.latency);
@@ -2208,8 +2158,13 @@ impl NodeSim {
                 MicroOp::Interp { instr, may_block } => {
                     if !first && may_block && !self.tile_clear_until(tile, group, t) {
                         // Synchronization point whose tile could still
-                        // change at or before `t`: defer exactly as
-                        // `run_ahead` does.
+                        // change at or before `t`: stop the run and
+                        // execute it after every earlier event (another
+                        // agent's store, a packet delivery) has updated
+                        // the tile state. The re-entry is deferred as a
+                        // continuation: it resumes inline if the horizon
+                        // clears once the earlier continuations have run,
+                        // and re-enters the queue otherwise.
                         let order = self.next_seq();
                         self.continuations.push((
                             agent,
@@ -2343,7 +2298,7 @@ impl NodeSim {
 
     /// Applies the transitions recorded by the current instruction or
     /// delivery: the reference engine retries every parked agent on any
-    /// change (seed behaviour); the run-ahead engine wakes only agents
+    /// change (seed behaviour); the compiled engine wakes only agents
     /// whose wait condition matches one of the transitions — a keyed
     /// [`ParkedSet`] lookup, not a scan.
     ///
@@ -2369,7 +2324,7 @@ impl NodeSim {
                 self.changes.clear();
                 self.tiles[tile].parked.drain_all(&mut woken);
             }
-            SimEngine::RunAhead | SimEngine::Compiled => {
+            SimEngine::Compiled => {
                 let changes = std::mem::take(&mut self.changes);
                 for &change in &changes {
                     self.tiles[tile].parked.take_matching(change, &mut woken);
@@ -2385,7 +2340,7 @@ impl NodeSim {
                     self.enqueue(now, PRIO_WAKE, EventKind::AgentReady(agent));
                 }
             }
-            SimEngine::RunAhead | SimEngine::Compiled => {
+            SimEngine::Compiled => {
                 for (agent, since) in woken.drain(..) {
                     self.stats.blocked_cycles += now.saturating_sub(since);
                     let order = self.next_seq();
@@ -2529,7 +2484,7 @@ impl NodeSim {
                     let fd = self.timing.fetch_decode_energy_nj();
                     self.charge(agent, EnergyComponent::FetchDecode, fd, 1);
                 }
-                SimEngine::RunAhead | SimEngine::Compiled => {
+                SimEngine::Compiled => {
                     self.instr_counts[instr.category().index()] += 1;
                     self.charge(agent, EnergyComponent::FetchDecode, fd_energy, 1);
                 }
@@ -2734,9 +2689,9 @@ impl NodeSim {
     }
 
     /// Executes one core instruction. `now` is the instruction's
-    /// simulated timestamp — identical across all three engines (the
-    /// reference engine re-queues at `now + latency`; run-ahead and
-    /// compiled advance a local clock by the same per-instruction
+    /// simulated timestamp — identical across both engines (the
+    /// reference engine re-queues at `now + latency`; the compiled
+    /// engine advances a local clock by the same per-instruction
     /// latencies) — consumed only by the non-ideality path as the MVM
     /// time index.
     fn step_core(&mut self, agent: AgentId, instr: Instruction, pc: u32, now: u64) -> Result<Step> {
@@ -3032,7 +2987,7 @@ impl NodeSim {
 /// by its minimum transit time. Sends execute only on tile control units
 /// and their width/target operands are immediate, so this is a complete
 /// enumeration of every possible future packet delivery — the exactness
-/// basis of the run-ahead cross-tile slack (module docs). Returns
+/// basis of the run-ahead scheduler's cross-tile slack (module docs). Returns
 /// `(senders_to, min_direct, min_indirect)`: per-target incoming edges
 /// (self-edges excluded), the per-target cheapest direct edge, and the
 /// per-target two-hop cost floor.
@@ -3133,11 +3088,9 @@ mod tests {
         img
     }
 
-    #[test]
-    fn mvm_and_tanh_pipeline_computes() {
-        let cfg = tiny_config(1);
-        // load 16 words into XbarIn, run MVM on MVMU 0 (identity*0.5),
-        // tanh the result, store.
+    /// Loads input `x` (16 words) into XbarIn, runs an MVM on MVMU 0
+    /// (identity × 0.5), applies tanh and stores output `y`.
+    fn mvm_tanh_image(cfg: &NodeConfig) -> MachineImage {
         let source = "\
 load xi0 @0 16
 mvm 1 0 0
@@ -3145,7 +3098,7 @@ tanh r0 xo0 16
 store @64 r0 1 16
 halt
 ";
-        let mut img = image_with_core_program(&cfg, source);
+        let mut img = image_with_core_program(cfg, source);
         img.core_mut(TileId::new(0), CoreId::new(0)).mvmu_weights[0] =
             Some(identity_weights(16, 0.5));
         img.inputs.push(IoBinding {
@@ -3162,6 +3115,13 @@ halt
             width: 16,
             count: 1,
         });
+        img
+    }
+
+    #[test]
+    fn mvm_and_tanh_pipeline_computes() {
+        let cfg = tiny_config(1);
+        let img = mvm_tanh_image(&cfg);
         let mut sim =
             NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
         let x: Vec<f32> = (0..16).map(|i| (i as f32 - 8.0) * 0.3).collect();
@@ -3174,6 +3134,35 @@ halt
         }
         assert!(sim.stats().cycles > 0);
         assert_eq!(sim.stats().mvmu_activations, 1);
+    }
+
+    #[test]
+    fn default_engine_is_compiled_without_set_engine() {
+        // `NodeSim::new` then `run`, with no `set_engine` call: the
+        // default engine builds its compiled image on first prime (not at
+        // construction), matches the reference oracle bit for bit, and
+        // forked replicas share that one build.
+        let cfg = tiny_config(1);
+        let img = mvm_tanh_image(&cfg);
+        let x: Vec<f32> = (0..16).map(|i| (i as f32 - 8.0) * 0.3).collect();
+        let run = |sim: &mut NodeSim| {
+            sim.write_input("x", &x).unwrap();
+            let stats = sim.run().unwrap().clone();
+            (sim.read_output("y").unwrap(), stats)
+        };
+        let mut sim =
+            NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
+        assert_eq!(sim.engine(), SimEngine::Compiled);
+        assert!(sim.compiled_image().is_none(), "construction must not compile");
+        let default_run = run(&mut sim);
+        let image = sim.compiled_image().expect("the first prime compiles the image");
+        let fork = sim.fork_replica().compiled_image().expect("forks keep the image");
+        assert!(Arc::ptr_eq(&image, &fork), "a fork must share the build, not recompile");
+
+        let mut reference =
+            NodeSim::new(cfg, &img, SimMode::Functional, &NoiseModel::noiseless()).unwrap();
+        reference.set_engine(SimEngine::Reference);
+        assert_eq!(default_run, run(&mut reference));
     }
 
     #[test]
@@ -3445,8 +3434,7 @@ halt
         assert!(NodeSim::new(cfg, &img, SimMode::Timing, &NoiseModel::noiseless()).is_err());
     }
 
-    const ALL_ENGINES: [SimEngine; 3] =
-        [SimEngine::Reference, SimEngine::RunAhead, SimEngine::Compiled];
+    const ALL_ENGINES: [SimEngine; 2] = [SimEngine::Reference, SimEngine::Compiled];
 
     /// Runs one image under every engine, asserts the stats are
     /// bit-identical, and returns them.
@@ -3458,9 +3446,7 @@ halt
             sim.stats().clone()
         };
         let reference = run(SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            assert_eq!(reference, run(engine), "{engine:?} diverged from Reference");
-        }
+        assert_eq!(reference, run(SimEngine::Compiled), "Compiled diverged from Reference");
         reference
     }
 
@@ -3772,7 +3758,7 @@ halt
         // bulk-charge the segment only while it fits under the cap, then
         // must degrade to per-instruction stepping so the fault lands on
         // the identical instruction — observable as bit-identical stats
-        // at the fault across all three engines.
+        // at the fault across both engines.
         let img = image_with_core_program(
             &cfg,
             "set r0 1\nset r1 2\nmvm 1 0 0\nset r2 3\nset r3 4\njmp 0\nhalt\n",
@@ -3791,8 +3777,6 @@ halt
             sim.stats().clone()
         };
         let reference = run(SimEngine::Reference);
-        for engine in [SimEngine::RunAhead, SimEngine::Compiled] {
-            assert_eq!(reference, run(engine), "{engine:?} diverged at the cycle cap");
-        }
+        assert_eq!(reference, run(SimEngine::Compiled), "Compiled diverged at the cycle cap");
     }
 }

@@ -12,10 +12,10 @@ use puma_sim::{ClusterSim, NodeSim, RunStats, SimEngine, SimMode};
 use puma_xbar::NoiseModel;
 use std::collections::HashMap;
 
-/// The suite-wide default execution engine: `PUMA_ENGINE=reference`,
-/// `PUMA_ENGINE=runahead`, or `PUMA_ENGINE=compiled` overrides
-/// [`SimEngine::default`], so CI can run the whole differential surface
-/// under any engine (the three-engine matrix) without code changes.
+/// The suite-wide default execution engine: `PUMA_ENGINE=reference` or
+/// `PUMA_ENGINE=compiled` overrides [`SimEngine::default`], so CI can run
+/// the whole differential surface under either engine (the two-engine
+/// matrix) without code changes.
 ///
 /// # Panics
 ///
@@ -26,10 +26,9 @@ pub fn default_engine() -> SimEngine {
     match std::env::var("PUMA_ENGINE").as_deref() {
         Err(_) => SimEngine::default(),
         Ok("reference") => SimEngine::Reference,
-        Ok("runahead" | "run_ahead" | "run-ahead") => SimEngine::RunAhead,
         Ok("compiled") => SimEngine::Compiled,
         Ok(other) => {
-            panic!("unrecognized PUMA_ENGINE {other:?} (use reference|runahead|compiled)")
+            panic!("unrecognized PUMA_ENGINE {other:?} (use reference|compiled)")
         }
     }
 }
@@ -114,7 +113,7 @@ pub fn run_functional_with_options(
 /// Compiles `model` and runs one inference on a chosen [`SimMode`] and
 /// [`SimEngine`], returning the outputs **and** the run statistics — the
 /// entry point of the engine-differential suites, which pin `RunStats`
-/// equality between [`SimEngine::Reference`] and [`SimEngine::RunAhead`].
+/// equality between [`SimEngine::Reference`] and [`SimEngine::Compiled`].
 ///
 /// # Errors
 ///

@@ -368,7 +368,7 @@ pub fn lattice_images(
 /// running producer/consumer handoffs over the attribute buffer, with no
 /// cross-tile traffic to couple them. (Contrast with [`lattice_images`],
 /// a *serial* token wave where at most a few stages are ever runnable —
-/// the run-ahead engine's structural worst case.) Outputs
+/// the run-ahead scheduler's structural worst case.) Outputs
 /// `t<tile>acc<consumer>` hold each consumer's accumulated sum.
 ///
 /// # Panics

@@ -55,7 +55,7 @@ use puma_compiler::{
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
 use puma_core::timing::TrafficPattern;
-use puma_isa::MachineImage;
+use puma_isa::{CoreImage, MachineImage, TileImage};
 use puma_sim::{
     ClusterSim, CompiledImage, NodeSim, PipelineRequest, PipelineSim, ResidentModel, RunStats,
     SimEngine, SimMode, StageStats,
@@ -148,7 +148,8 @@ impl SimBackend {
     }
 
     /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order (`None` until an engine selection compiled them).
+    /// in node order (`None` until a compiled run or engine selection
+    /// built them).
     fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
         match self {
             SimBackend::Node(s) => s.compiled_image().map(|image| vec![image]),
@@ -824,9 +825,10 @@ pub struct ServeRunner {
     /// The cached pipeline instance (built on first pipelined serve).
     pipeline_sim: Mutex<Option<PipelineSim>>,
     /// Per-node pre-decoded images for [`SimEngine::Compiled`], compiled
-    /// once by the first worker (or pipeline) to select the engine and
-    /// adopted read-only by every later replica — the pool shares one
-    /// compiled image per node instead of recompiling per worker.
+    /// once (at construction under the default engine, else by the first
+    /// worker or pipeline to select it) and adopted read-only by every
+    /// later replica — the pool shares one compiled image per node
+    /// instead of recompiling per worker.
     compiled_images: Mutex<Option<Vec<Arc<CompiledImage>>>>,
     /// The immutable replica prototype: construction and crossbar
     /// programming are paid once here; every pool worker is forked from
@@ -869,8 +871,11 @@ impl ServeRunner {
         let images = compiled.shard()?;
         // Validate the exact construction workers will perform (functional
         // mode also programs the crossbars), so per-worker builds cannot
-        // fail; the validated instance seeds the worker pool.
-        let first = build_backend(&cfg, &images, mode, noise)?;
+        // fail; the validated instance seeds the worker pool. It lowers
+        // for the default engine once, before the fork, so every replica
+        // shares that one compiled build.
+        let mut first = build_backend(&cfg, &images, mode, noise)?;
+        first.set_engine(SimEngine::default());
         let prototype = first.fork_replica();
         Ok(ServeRunner {
             compiled,
@@ -884,9 +889,9 @@ impl ServeRunner {
             queue_depth: None,
             pipeline: false,
             deadline: None,
+            compiled_images: Mutex::new(first.compiled_images()),
             pool: Mutex::new(vec![first]),
             pipeline_sim: Mutex::new(None),
-            compiled_images: Mutex::new(None),
             prototype,
         })
     }
@@ -944,7 +949,7 @@ impl ServeRunner {
         self
     }
 
-    /// Selects the simulator execution engine (default run-ahead).
+    /// Selects the simulator execution engine (default [`SimEngine::Compiled`]).
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
@@ -1371,7 +1376,7 @@ impl BatchRunner {
         BatchRunner { inner: self.inner.with_host_threads(threads) }
     }
 
-    /// Selects the simulator execution engine (default run-ahead).
+    /// Selects the simulator execution engine (default [`SimEngine::Compiled`]).
     #[must_use]
     pub fn with_engine(self, engine: SimEngine) -> Self {
         BatchRunner { inner: self.inner.with_engine(engine) }
@@ -1921,7 +1926,7 @@ impl TenantServer {
         })
     }
 
-    /// Selects the simulator execution engine (default run-ahead).
+    /// Selects the simulator execution engine (default [`SimEngine::Compiled`]).
     #[must_use]
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
@@ -2068,8 +2073,16 @@ impl TenantServer {
         if let Some(img) = cache.get(model) {
             return Ok(Arc::clone(img));
         }
-        let compiled = self.catalog.get(model).expect("deployed models stay cataloged");
-        let mut relocated = relocate_image(&compiled.image, base)?;
+        let image = &self.catalog.get(model).expect("deployed models stay cataloged").image;
+        // The build reads programs only: relocate a copy without the
+        // crossbar weights rather than clone every programmed matrix.
+        let strip = |c: &CoreImage| CoreImage { program: c.program.clone(), ..CoreImage::new(0) };
+        let tiles = image.tiles.iter().map(|t| TileImage {
+            program: t.program.clone(),
+            cores: t.cores.iter().map(strip).collect(),
+        });
+        let programs = MachineImage { tiles: tiles.collect(), ..MachineImage::new(0, 0, 0) };
+        let mut relocated = relocate_image(&programs, base)?;
         // `CompiledImage::compose` places tiles *at* the base, so drop
         // the relocation's empty prefix tiles.
         relocated.tiles.drain(..base);
