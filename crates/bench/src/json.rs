@@ -4,7 +4,12 @@
 //! vendors no `serde_json`), so the perf-regression gate (`compare_bench`)
 //! parses it with this small recursive-descent reader. It supports the
 //! full JSON value grammar minus `\uXXXX` escapes, which the artifacts
-//! never contain.
+//! never contain, and it nests at most 128 arrays/objects deep, so
+//! hostile input gets an error instead of overflowing the stack.
+
+/// The deepest array/object nesting [`parse`] accepts — far above the
+/// artifacts' real depth (three).
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,9 +163,14 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| self.error("invalid number"))
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
-        match self.peek().ok_or_else(|| self.error("unexpected end of input"))? {
+        let first = self.peek().ok_or_else(|| self.error("unexpected end of input"))?;
+        if matches!(first, b'[' | b'{') && depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        match first {
             b'n' => self.literal("null", Json::Null),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -174,7 +184,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -199,7 +209,7 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    members.push((key, self.value()?));
+                    members.push((key, self.value(depth + 1)?));
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -223,7 +233,7 @@ impl<'a> Parser<'a> {
 /// Returns a byte-position-annotated message for malformed input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.error("trailing data"));
@@ -268,5 +278,15 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"abc").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(parse(&deep), Err(format!("nesting too deep at byte {MAX_DEPTH}")));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().starts_with("nesting too deep"));
     }
 }

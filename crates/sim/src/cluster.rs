@@ -19,7 +19,6 @@
 //! it, it re-enters its event queue so the delivery interleaves
 //! correctly.
 
-use crate::compiled::CompiledImage;
 use crate::fifo::Packet;
 use crate::machine::{NodeSim, OutboundPacket, ResidentModel, SimEngine, SimMode};
 use crate::stats::RunStats;
@@ -31,7 +30,6 @@ use puma_isa::MachineImage;
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// An inter-node packet in flight on the interconnect.
 #[derive(Debug)]
@@ -96,21 +94,6 @@ impl ClusterSim {
         mode: SimMode,
         noise: &NoiseModel,
     ) -> Result<Self> {
-        Self::with_interconnect(cfg, images, mode, noise, InterconnectConfig::default())
-    }
-
-    /// [`ClusterSim::new`] with an explicit interconnect model.
-    ///
-    /// # Errors
-    ///
-    /// See [`ClusterSim::new`].
-    pub fn with_interconnect(
-        cfg: NodeConfig,
-        images: &[MachineImage],
-        mode: SimMode,
-        noise: &NoiseModel,
-        interconnect: InterconnectConfig,
-    ) -> Result<Self> {
         if images.is_empty() {
             return Err(PumaError::InvalidConfig {
                 what: "a cluster needs at least one node image".to_string(),
@@ -121,6 +104,7 @@ impl ClusterSim {
                 what: format!("{} nodes exceed the 256-node send addressing range", images.len()),
             });
         }
+        let interconnect = InterconnectConfig::default();
         let mut nodes = Vec::with_capacity(images.len());
         for (i, image) in images.iter().enumerate() {
             let mut sim = NodeSim::new(cfg, image, mode, noise)?;
@@ -153,25 +137,6 @@ impl ClusterSim {
         }
     }
 
-    /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order — `Some` only once every node holds one (after a
-    /// compiled run, `set_engine(Compiled)` or adoption). The images are read-only, so
-    /// worker replicas simulating the same sharded model share them
-    /// instead of recompiling per replica.
-    pub fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
-        self.nodes.iter().map(NodeSim::compiled_image).collect()
-    }
-
-    /// Adopts pre-decoded images compiled by a replica of the same
-    /// sharded model, one per node in node order (see
-    /// [`NodeSim::adopt_compiled_image`]).
-    pub fn adopt_compiled_images(&mut self, images: &[Arc<CompiledImage>]) {
-        debug_assert_eq!(images.len(), self.nodes.len(), "one compiled image per node");
-        for (node, image) in self.nodes.iter_mut().zip(images) {
-            node.adopt_compiled_image(Arc::clone(image));
-        }
-    }
-
     /// Clones the cluster into a fresh worker replica: every node is
     /// [`NodeSim::fork_replica`]-forked (programs, programmed
     /// crossbars, and compiled images `Arc`-shared; state arenas
@@ -185,6 +150,11 @@ impl ClusterSim {
             flight_seq: 0,
             stats: RunStats::new(),
         }
+    }
+
+    /// The joined nodes and their link model, for a pipeline over them.
+    pub(crate) fn into_nodes(self) -> (Vec<NodeSim>, InterconnectConfig) {
+        (self.nodes, self.interconnect)
     }
 
     /// Approximate bytes of per-replica mutable state, summed over
@@ -480,10 +450,12 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PipelineRequest, PipelineSim};
     use puma_core::config::{CoreConfig, MvmuConfig, NodeConfig, TileConfig};
     use puma_core::ids::{CoreId, TileId};
     use puma_isa::asm::assemble;
     use puma_isa::{IoBinding, Program};
+    use std::sync::Arc;
 
     /// A small two-core, two-tile-capable configuration.
     fn tiny_config() -> NodeConfig {
@@ -578,10 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn adopted_compiled_images_replay_identically() {
-        // A second replica of the same sharded model adopts the first
-        // replica's compiled images instead of recompiling, and the runs
-        // stay bit-identical.
+    fn forked_replicas_replay_identically() {
+        // A replica forked from a lowered cluster shares every node's
+        // compiled image instead of recompiling, and its runs (and a
+        // pipeline made from a fork) stay bit-identical.
         let build = || {
             ClusterSim::new(
                 tiny_config(),
@@ -593,18 +565,37 @@ mod tests {
         };
         let mut first = build();
         first.set_engine(SimEngine::Compiled);
-        let images = first.compiled_images().expect("set_engine compiled every node");
+        let mut second = first.fork_replica();
         first.run().unwrap();
-
-        let mut second = build();
-        second.adopt_compiled_images(&images);
-        second.set_engine(SimEngine::Compiled);
-        let adopted = second.compiled_images().expect("adopted images are retained");
-        for (a, b) in images.iter().zip(&adopted) {
-            assert!(Arc::ptr_eq(a, b), "adoption must reuse the images, not recompile");
+        for (a, b) in first.nodes().iter().zip(second.nodes()) {
+            let a = a.compiled_image().expect("set_engine compiled every node");
+            let b = b.compiled_image().expect("forks keep the images");
+            assert!(Arc::ptr_eq(&a, &b), "a fork must reuse the images, not recompile");
         }
         second.run().unwrap();
         assert_eq!(first.stats(), second.stats());
+        assert_eq!(first.read_output("out").unwrap(), second.read_output("out").unwrap());
+
+        let serve = |mut sim: PipelineSim| {
+            let requests: Vec<PipelineRequest> =
+                (0..3).map(|i| PipelineRequest { arrival: 10 * i, writes: Vec::new() }).collect();
+            let report = sim.serve(&[], &requests, None).unwrap();
+            let results: Vec<_> = report
+                .results
+                .iter()
+                .map(|r| (r.admitted, r.outputs.clone(), r.start, r.finish, r.stats.clone()))
+                .collect();
+            (results, report.stages, report.max_concurrent, report.shed, report.makespan)
+        };
+        let mut fresh = PipelineSim::new(
+            tiny_config(),
+            &two_node_images(),
+            SimMode::Functional,
+            &NoiseModel::noiseless(),
+        )
+        .unwrap();
+        fresh.set_engine(SimEngine::Compiled);
+        assert_eq!(serve(PipelineSim::from(first.fork_replica())), serve(fresh));
     }
 
     #[test]

@@ -185,9 +185,9 @@ pub enum SimEngine {
     /// instructions back-to-back, accumulating time locally, and
     /// re-enters the queue only at synchronization points
     /// (attribute-buffer loads/stores, FIFO send/receive, halt). Each
-    /// program is compiled once — on first prime, at
-    /// [`NodeSim::set_engine`], or shared pre-built via
-    /// [`NodeSim::adopt_compiled_image`] — into dense micro-ops with
+    /// program is compiled once per machine image — on first prime or at
+    /// [`NodeSim::set_engine`], and shared by every
+    /// [`NodeSim::fork_replica`] — into dense micro-ops with
     /// decode, operand resolution, and per-op timing/energy hoisted out
     /// of the hot loop, and maximal pure-charge runs accounted as whole
     /// segments (see [`crate::compiled`] and the module docs'
@@ -538,11 +538,11 @@ pub struct NodeSim {
     /// event queue (it could miss the delivery). `u64::MAX` standalone.
     horizon: u64,
     /// The pre-decoded micro-op image for [`SimEngine::Compiled`]: built
-    /// lazily on first prime (or on [`NodeSim::set_engine`]) unless one
-    /// was adopted pre-built from a sibling replica
-    /// ([`NodeSim::adopt_compiled_image`]). Read-only and
-    /// preserved across [`NodeSim::reset`] — programs are immutable after
-    /// construction, so one build serves every request.
+    /// lazily on first prime (or on [`NodeSim::set_engine`]) unless this
+    /// simulator was forked from one that already held it
+    /// ([`NodeSim::fork_replica`]). Read-only and preserved across
+    /// [`NodeSim::reset`] — programs are immutable after construction, so
+    /// one build serves every request.
     compiled: Option<Arc<CompiledImage>>,
     /// Resident-model registry (sorted by base tile; empty for
     /// single-tenant machines). Machine configuration like the compiled
@@ -1093,9 +1093,8 @@ impl NodeSim {
     /// Selecting [`SimEngine::Compiled`] compiles every program into
     /// micro-op segments unless an image is already held (a one-time
     /// cost, amortized over every subsequent run; without this call the
-    /// default engine pays it on first prime instead); use
-    /// [`NodeSim::adopt_compiled_image`] first to share a sibling
-    /// replica's build instead.
+    /// default engine pays it on first prime instead). Select it before
+    /// [`NodeSim::fork_replica`] and every replica shares the one build.
     pub fn set_engine(&mut self, engine: SimEngine) {
         self.engine = engine;
         if engine == SimEngine::Compiled {
@@ -1133,7 +1132,7 @@ impl NodeSim {
     }
 
     /// Compiles this node's programs into a [`CompiledImage`] unless one
-    /// is already held (built earlier or adopted).
+    /// is already held (built earlier or inherited by a fork).
     fn ensure_compiled(&mut self) {
         if self.compiled.is_none() {
             self.compiled = Some(Arc::new(CompiledImage::build(
@@ -1149,24 +1148,10 @@ impl NodeSim {
     }
 
     /// The pre-decoded image backing [`SimEngine::Compiled`], if one has
-    /// been built or adopted. Share it with worker replicas simulating
-    /// the same image via [`NodeSim::adopt_compiled_image`] — the build
-    /// is read-only, so replicas pay it once instead of once each.
-    pub fn compiled_image(&self) -> Option<Arc<CompiledImage>> {
+    /// been built (or inherited by a fork).
+    #[cfg(test)]
+    pub(crate) fn compiled_image(&self) -> Option<Arc<CompiledImage>> {
         self.compiled.clone()
-    }
-
-    /// Adopts a pre-built compiled image instead of building one on
-    /// first prime or [`NodeSim::set_engine`]. The image must come from
-    /// a simulator built with the same configuration, machine image,
-    /// and [`SimMode`] (replicas of one serving pool satisfy this by
-    /// construction).
-    pub fn adopt_compiled_image(&mut self, image: Arc<CompiledImage>) {
-        debug_assert!(
-            image.mode() == self.mode,
-            "adopted compiled image was built for a different SimMode"
-        );
-        self.compiled = Some(image);
     }
 
     /// The active execution engine.

@@ -35,7 +35,7 @@
 //! stage* (node 0), and are **shed** — rejected without executing — when
 //! the queue is full at their arrival.
 
-use crate::compiled::CompiledImage;
+use crate::cluster::ClusterSim;
 use crate::fifo::Packet;
 use crate::machine::{NodeSim, SimEngine, SimMode};
 use crate::stats::RunStats;
@@ -46,7 +46,6 @@ use puma_isa::MachineImage;
 use puma_xbar::NoiseModel;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// One request submitted to [`PipelineSim::serve`].
 #[derive(Debug, Clone)]
@@ -173,51 +172,13 @@ pub struct PipelineSim {
     output_names: Vec<Vec<String>>,
 }
 
-impl PipelineSim {
-    /// Builds one simulator per image over the default interconnect
-    /// (mirrors [`crate::ClusterSim::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-node construction failures; rejects an empty image
-    /// list and clusters larger than the 256-node `send` addressing range.
-    pub fn new(
-        cfg: NodeConfig,
-        images: &[MachineImage],
-        mode: SimMode,
-        noise: &NoiseModel,
-    ) -> Result<Self> {
-        Self::with_interconnect(cfg, images, mode, noise, InterconnectConfig::default())
-    }
-
-    /// [`PipelineSim::new`] with an explicit interconnect model.
-    ///
-    /// # Errors
-    ///
-    /// See [`PipelineSim::new`].
-    pub fn with_interconnect(
-        cfg: NodeConfig,
-        images: &[MachineImage],
-        mode: SimMode,
-        noise: &NoiseModel,
-        interconnect: InterconnectConfig,
-    ) -> Result<Self> {
-        if images.is_empty() {
-            return Err(PumaError::InvalidConfig {
-                what: "a pipeline needs at least one node image".to_string(),
-            });
-        }
-        if images.len() > u8::MAX as usize + 1 {
-            return Err(PumaError::InvalidConfig {
-                what: format!("{} nodes exceed the 256-node send addressing range", images.len()),
-            });
-        }
-        let mut nodes = Vec::with_capacity(images.len());
-        for (i, image) in images.iter().enumerate() {
-            let mut sim = NodeSim::new(cfg, image, mode, noise)?;
-            sim.join_cluster(i as u16, images.len() as u16, interconnect);
-            nodes.push(sim);
-        }
+impl From<ClusterSim> for PipelineSim {
+    /// Serves a stream over the cluster's nodes as they are: engine,
+    /// programmed crossbars and compiled images carry over, so a
+    /// [`ClusterSim::fork_replica`] becomes a pipeline without a rebuild.
+    /// Every serve resets the nodes first.
+    fn from(cluster: ClusterSim) -> Self {
+        let (nodes, interconnect) = cluster.into_nodes();
         let mut input_owner = HashMap::new();
         let mut output_names = Vec::with_capacity(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
@@ -226,7 +187,24 @@ impl PipelineSim {
             }
             output_names.push(node.output_names().iter().map(|s| s.to_string()).collect());
         }
-        Ok(PipelineSim { nodes, interconnect, input_owner, output_names })
+        PipelineSim { nodes, interconnect, input_owner, output_names }
+    }
+}
+
+impl PipelineSim {
+    /// Builds one simulator per image over the default interconnect:
+    /// [`ClusterSim::new`], served as a pipeline.
+    ///
+    /// # Errors
+    ///
+    /// See [`ClusterSim::new`].
+    pub fn new(
+        cfg: NodeConfig,
+        images: &[MachineImage],
+        mode: SimMode,
+        noise: &NoiseModel,
+    ) -> Result<Self> {
+        ClusterSim::new(cfg, images, mode, noise).map(Into::into)
     }
 
     /// Number of pipeline stages (nodes).
@@ -238,22 +216,6 @@ impl PipelineSim {
     pub fn set_engine(&mut self, engine: SimEngine) {
         for node in &mut self.nodes {
             node.set_engine(engine);
-        }
-    }
-
-    /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order (see [`crate::ClusterSim::compiled_images`]).
-    pub fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
-        self.nodes.iter().map(NodeSim::compiled_image).collect()
-    }
-
-    /// Adopts pre-decoded images compiled by a replica of the same
-    /// sharded model, one per node in node order (see
-    /// [`NodeSim::adopt_compiled_image`]).
-    pub fn adopt_compiled_images(&mut self, images: &[Arc<CompiledImage>]) {
-        debug_assert_eq!(images.len(), self.nodes.len(), "one compiled image per node");
-        for (node, image) in self.nodes.iter_mut().zip(images) {
-            node.adopt_compiled_image(Arc::clone(image));
         }
     }
 

@@ -41,6 +41,11 @@
 //! replica busy until then. Both share one pooled executor too; only
 //! pipelined serving, which co-simulates its stages, schedules itself.
 //!
+//! Every simulator a runner serves on — pooled worker, pipeline, fabric
+//! replica — is a `fork_replica` of one lowered prototype, so
+//! construction, crossbar programming and the micro-op build are paid
+//! once and `Arc`-shared; a fork allocates only fresh state arenas.
+//!
 //! # Determinism
 //!
 //! Outputs, per-request statistics, latencies, and shed decisions are all
@@ -50,15 +55,15 @@
 //! bit-reproducible and CI-gateable.
 
 use puma_compiler::{
-    compile, compose_fabric, fit_config, relocate_image, CompiledModel, CompilerOptions, Resident,
+    compile, compose_fabric, fit_config, CompiledModel, CompilerOptions, Resident,
 };
 use puma_core::config::NodeConfig;
 use puma_core::error::{PumaError, Result};
 use puma_core::timing::TrafficPattern;
-use puma_isa::{CoreImage, MachineImage, TileImage};
+use puma_isa::MachineImage;
 use puma_sim::{
-    ClusterSim, CompiledImage, NodeSim, PipelineRequest, PipelineSim, ResidentModel, RunStats,
-    SimEngine, SimMode, StageStats,
+    ClusterSim, NodeSim, PipelineRequest, PipelineSim, ResidentModel, RunStats, SimEngine, SimMode,
+    StageStats,
 };
 use puma_xbar::NoiseModel;
 use std::borrow::Cow;
@@ -144,28 +149,6 @@ impl SimBackend {
         match self {
             SimBackend::Node(s) => s.stats(),
             SimBackend::Cluster(s) => s.stats(),
-        }
-    }
-
-    /// The per-node pre-decoded images backing [`SimEngine::Compiled`],
-    /// in node order (`None` until a compiled run or engine selection
-    /// built them).
-    fn compiled_images(&self) -> Option<Vec<Arc<CompiledImage>>> {
-        match self {
-            SimBackend::Node(s) => s.compiled_image().map(|image| vec![image]),
-            SimBackend::Cluster(s) => s.compiled_images(),
-        }
-    }
-
-    /// Adopts pre-decoded images compiled by another replica of the same
-    /// model (the images are read-only and shared, not recompiled).
-    fn adopt_compiled_images(&mut self, images: &[Arc<CompiledImage>]) {
-        match self {
-            SimBackend::Node(s) => {
-                debug_assert_eq!(images.len(), 1, "single-node backends hold one image");
-                s.adopt_compiled_image(Arc::clone(&images[0]));
-            }
-            SimBackend::Cluster(s) => s.adopt_compiled_images(images),
         }
     }
 
@@ -796,13 +779,8 @@ impl BatchOutcome {
 #[derive(Debug)]
 pub struct ServeRunner {
     compiled: CompiledModel,
-    /// Per-node images (one entry for single-node models; the sharded
-    /// split otherwise), computed once so workers build simulators from
-    /// ready-made programs.
-    images: Vec<MachineImage>,
-    cfg: NodeConfig,
-    mode: SimMode,
-    noise: NoiseModel,
+    /// Simulated nodes per request (1 unless the model is sharded).
+    nodes: usize,
     engine: SimEngine,
     /// Host threads used to parallelize simulation work.
     host_threads: usize,
@@ -818,22 +796,16 @@ pub struct ServeRunner {
     /// at exactly `arrival + deadline` and reported as a typed failure.
     deadline: Option<u64>,
     /// Idle simulators, checked out by host threads for the duration of a
-    /// serve call and returned afterwards — construction (and
-    /// functional-mode crossbar programming) is paid once per worker
-    /// across the runner's lifetime, not once per call.
+    /// serve call and returned afterwards — every one a fork of
+    /// `prototype`, so a worker's arenas are allocated once across the
+    /// runner's lifetime, not once per call.
     pool: Mutex<Vec<SimBackend>>,
-    /// The cached pipeline instance (built on first pipelined serve).
+    /// The cached pipeline instance (made on first pipelined serve from
+    /// a pooled replica, or a fresh fork when the pool is empty).
     pipeline_sim: Mutex<Option<PipelineSim>>,
-    /// Per-node pre-decoded images for [`SimEngine::Compiled`], compiled
-    /// once (at construction under the default engine, else by the first
-    /// worker or pipeline to select it) and adopted read-only by every
-    /// later replica — the pool shares one compiled image per node
-    /// instead of recompiling per worker.
-    compiled_images: Mutex<Option<Vec<Arc<CompiledImage>>>>,
-    /// The immutable replica prototype: construction and crossbar
-    /// programming are paid once here; every pool worker is forked from
-    /// it (`Arc`-sharing programs, crossbars, and compiled images), so
-    /// growing the pool costs one arena allocation, not a rebuild.
+    /// The immutable replica prototype, lowered for the default engine:
+    /// every pool worker and the pipeline are forked from it, so growing
+    /// the pool costs one arena allocation, not a rebuild.
     prototype: SimBackend,
 }
 
@@ -869,28 +841,21 @@ impl ServeRunner {
         let compiled = compile(model, cfg, options)?;
         let cfg = fit_config(cfg, &compiled);
         let images = compiled.shard()?;
-        // Validate the exact construction workers will perform (functional
-        // mode also programs the crossbars), so per-worker builds cannot
-        // fail; the validated instance seeds the worker pool. It lowers
-        // for the default engine once, before the fork, so every replica
-        // shares that one compiled build.
-        let mut first = build_backend(&cfg, &images, mode, noise)?;
-        first.set_engine(SimEngine::default());
-        let prototype = first.fork_replica();
+        // Construction is the only fallible step (functional mode also
+        // programs the crossbars). The prototype lowers for the default
+        // engine once, so every fork shares that one compiled build.
+        let mut prototype = build_backend(&cfg, &images, mode, noise)?;
+        prototype.set_engine(SimEngine::default());
         Ok(ServeRunner {
             compiled,
-            images,
-            cfg,
-            mode,
-            noise: noise.clone(),
+            nodes: images.len(),
             engine: SimEngine::default(),
             host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             workers: 1,
             queue_depth: None,
             pipeline: false,
             deadline: None,
-            compiled_images: Mutex::new(first.compiled_images()),
-            pool: Mutex::new(vec![first]),
+            pool: Mutex::new(vec![prototype.fork_replica()]),
             pipeline_sim: Mutex::new(None),
             prototype,
         })
@@ -959,17 +924,6 @@ impl ServeRunner {
         if let Some(p) = self.pipeline_sim.get_mut().expect("pipeline sim poisoned").as_mut() {
             p.set_engine(engine);
         }
-        if engine == SimEngine::Compiled {
-            let cache = self.compiled_images.get_mut().expect("compiled image cache poisoned");
-            if cache.is_none() {
-                *cache = self
-                    .pool
-                    .get_mut()
-                    .expect("sim pool poisoned")
-                    .first()
-                    .and_then(SimBackend::compiled_images);
-            }
-        }
         self
     }
 
@@ -991,7 +945,7 @@ impl ServeRunner {
     /// Number of simulated nodes each request runs on (1 unless the model
     /// was compiled with [`puma_compiler::Partitioning::Sharded`]).
     pub fn nodes_per_request(&self) -> usize {
-        self.images.len()
+        self.nodes
     }
 
     /// Approximate bytes of per-replica mutable state — what one more
@@ -1003,21 +957,10 @@ impl ServeRunner {
         self.prototype.state_bytes()
     }
 
-    fn build_sim(&self) -> Result<SimBackend> {
+    fn build_sim(&self) -> SimBackend {
         let mut sim = self.prototype.fork_replica();
-        if self.engine == SimEngine::Compiled {
-            let mut cache = self.compiled_images.lock().expect("compiled image cache poisoned");
-            if let Some(images) = cache.as_ref() {
-                sim.adopt_compiled_images(images);
-                sim.set_engine(self.engine);
-            } else {
-                sim.set_engine(self.engine);
-                *cache = sim.compiled_images();
-            }
-        } else {
-            sim.set_engine(self.engine);
-        }
-        Ok(sim)
+        sim.set_engine(self.engine);
+        sim
     }
 
     /// Serves requests arriving per `pattern` (request `i` arrives at the
@@ -1085,7 +1028,7 @@ impl ServeRunner {
                 ),
             });
         }
-        let mut outcome = if self.pipeline && self.images.len() > 1 {
+        let mut outcome = if self.pipeline && self.nodes > 1 {
             self.serve_pipelined(arrivals, inputs)?
         } else {
             self.serve_replicated(arrivals, inputs)
@@ -1106,7 +1049,7 @@ impl ServeRunner {
             &self.pool,
             self.host_threads,
             inputs,
-            || self.build_sim(),
+            || Ok(self.build_sim()),
             |sim, inputs| run_request(sim, &self.compiled, inputs, None),
         );
         let load = Load {
@@ -1190,7 +1133,7 @@ impl ServeRunner {
             .iter()
             .map(|(binding, values)| (binding.name.clone(), values.clone()))
             .collect();
-        let mut sim = self.checkout_pipeline()?;
+        let mut sim = self.checkout_pipeline();
         let report = sim.serve_with_deadline(
             &const_writes,
             &pipeline_requests,
@@ -1249,26 +1192,18 @@ impl ServeRunner {
         })
     }
 
-    /// Takes the cached pipeline instance or builds one (sharing any
-    /// already-compiled per-node images with the replicated pool).
-    fn checkout_pipeline(&self) -> Result<PipelineSim> {
+    /// Takes the cached pipeline instance or makes one from a pooled
+    /// replica (a fresh fork when the pool is empty): no rebuild, and the
+    /// pipeline shares the pool's programs, crossbars and compiled images.
+    fn checkout_pipeline(&self) -> PipelineSim {
         if let Some(sim) = self.pipeline_sim.lock().expect("pipeline sim poisoned").take() {
-            return Ok(sim);
+            return sim;
         }
-        let mut sim = PipelineSim::new(self.cfg, &self.images, self.mode, &self.noise)?;
-        if self.engine == SimEngine::Compiled {
-            let mut cache = self.compiled_images.lock().expect("compiled image cache poisoned");
-            if let Some(images) = cache.as_ref() {
-                sim.adopt_compiled_images(images);
-                sim.set_engine(self.engine);
-            } else {
-                sim.set_engine(self.engine);
-                *cache = sim.compiled_images();
-            }
-        } else {
-            sim.set_engine(self.engine);
+        let replica = self.pool.lock().expect("sim pool poisoned").pop();
+        match replica.unwrap_or_else(|| self.build_sim()) {
+            SimBackend::Cluster(cluster) => PipelineSim::from(*cluster),
+            SimBackend::Node(_) => unreachable!("only sharded models serve as a pipeline"),
         }
-        Ok(sim)
     }
 
     /// Validates one request's inputs against the compiled I/O layout
@@ -1852,15 +1787,14 @@ pub struct TenantServer {
     deployments: Vec<Deployment>,
     planner: TilePlanner,
     /// Idle fabric simulators (every resident loaded), checked out by
-    /// host threads during a serve — same pooling as [`ServeRunner`].
+    /// host threads during a serve — same pooling as [`ServeRunner`],
+    /// every one a fork of `prototype`.
     pool: Mutex<Vec<SimBackend>>,
-    /// Per-node composed pre-decoded images for [`SimEngine::Compiled`]
-    /// (invalidated when the resident set changes).
-    node_compiled: Mutex<Option<Vec<Arc<CompiledImage>>>>,
-    /// Per-model pre-decoded builds, compiled once at the model's
-    /// deployed base and shared by `Arc` into every composed node image
-    /// and every pooled fabric replica.
-    model_compiled: Mutex<HashMap<String, Arc<CompiledImage>>>,
+    /// The fabric replica prototype, built on first need: residents
+    /// registered and programs lowered for the engine, so every pool
+    /// worker forks it instead of rebuilding. Dropped with the pool when
+    /// the resident set or the engine changes.
+    prototype: Mutex<Option<SimBackend>>,
 }
 
 impl TenantServer {
@@ -1921,8 +1855,7 @@ impl TenantServer {
             deployments: Vec::new(),
             planner: TilePlanner::new(fabric.nodes, fabric.tiles_per_node),
             pool: Mutex::new(Vec::new()),
-            node_compiled: Mutex::new(None),
-            model_compiled: Mutex::new(HashMap::new()),
+            prototype: Mutex::new(None),
         })
     }
 
@@ -1931,6 +1864,7 @@ impl TenantServer {
     pub fn with_engine(mut self, engine: SimEngine) -> Self {
         self.engine = engine;
         self.pool.get_mut().expect("sim pool poisoned").clear();
+        *self.prototype.get_mut().expect("fabric prototype poisoned") = None;
         self
     }
 
@@ -2023,10 +1957,9 @@ impl TenantServer {
             });
         };
         self.deployments.push(Deployment { model: name.to_string(), node, base, tiles });
-        // The resident set changed: pooled fabrics and composed images
-        // are stale. Per-model builds stay valid (bases never move).
+        // The resident set changed: the prototype and its forks are stale.
         self.pool.get_mut().expect("sim pool poisoned").clear();
-        *self.node_compiled.get_mut().expect("compiled image cache poisoned") = None;
+        *self.prototype.get_mut().expect("fabric prototype poisoned") = None;
         Ok(self.deployments.last().expect("just pushed"))
     }
 
@@ -2063,57 +1996,15 @@ impl TenantServer {
             .collect()
     }
 
-    /// The pre-decoded build of one deployed model, compiled **at its
-    /// deployed base** (interpreter-fallback micro-ops embed `send`
-    /// targets, so the build is position-specific) and cached — one
-    /// build per model serves every composed node image and every
-    /// pooled fabric replica.
-    fn model_compiled_at(&self, model: &str, base: usize) -> Result<Arc<CompiledImage>> {
-        let mut cache = self.model_compiled.lock().expect("model compiled cache poisoned");
-        if let Some(img) = cache.get(model) {
-            return Ok(Arc::clone(img));
-        }
-        let image = &self.catalog.get(model).expect("deployed models stay cataloged").image;
-        // The build reads programs only: relocate a copy without the
-        // crossbar weights rather than clone every programmed matrix.
-        let strip = |c: &CoreImage| CoreImage { program: c.program.clone(), ..CoreImage::new(0) };
-        let tiles = image.tiles.iter().map(|t| TileImage {
-            program: t.program.clone(),
-            cores: t.cores.iter().map(strip).collect(),
-        });
-        let programs = MachineImage { tiles: tiles.collect(), ..MachineImage::new(0, 0, 0) };
-        let mut relocated = relocate_image(&programs, base)?;
-        // `CompiledImage::compose` places tiles *at* the base, so drop
-        // the relocation's empty prefix tiles.
-        relocated.tiles.drain(..base);
-        let img = Arc::new(CompiledImage::for_image(&self.cfg, self.mode, &relocated));
-        cache.insert(model.to_string(), Arc::clone(&img));
-        Ok(img)
-    }
-
-    /// Per-node composed pre-decoded images for [`SimEngine::Compiled`].
-    fn composed_compiled(&self, node_images: &[MachineImage]) -> Result<Vec<Arc<CompiledImage>>> {
-        if let Some(images) =
-            self.node_compiled.lock().expect("compiled image cache poisoned").as_ref()
-        {
-            return Ok(images.clone());
-        }
-        let mut composed = Vec::with_capacity(node_images.len());
-        for (node, image) in node_images.iter().enumerate() {
-            let mut parts = Vec::new();
-            for d in self.deployments.iter().filter(|d| d.node == node) {
-                parts.push((d.base, self.model_compiled_at(&d.model, d.base)?));
-            }
-            composed.push(Arc::new(CompiledImage::compose(self.mode, image.tiles.len(), &parts)));
-        }
-        *self.node_compiled.lock().expect("compiled image cache poisoned") = Some(composed.clone());
-        Ok(composed)
-    }
-
-    /// Builds one fabric simulator: composed per-node images, resident
-    /// registration, engine selection (sharing per-model compiled
-    /// builds under [`SimEngine::Compiled`]).
+    /// Forks one fabric simulator from the prototype, building that
+    /// first if needed: composed per-node images, resident
+    /// registration, then engine selection — which lowers the composed
+    /// (already relocated) programs once for every fork.
     fn build_fabric_sim(&self) -> Result<SimBackend> {
+        let mut prototype = self.prototype.lock().expect("fabric prototype poisoned");
+        if let Some(sim) = prototype.as_ref() {
+            return Ok(sim.fork_replica());
+        }
         let images = self.node_images()?;
         // Tile death is modeled at the schedule layer (quarantine +
         // failover + retry, see `schedule_streams`), not inside the
@@ -2127,11 +2018,8 @@ impl TenantServer {
         for node in 0..images.len() {
             sim.set_residents(node, self.residents_of(node))?;
         }
-        if self.engine == SimEngine::Compiled {
-            sim.adopt_compiled_images(&self.composed_compiled(&images)?);
-        }
         sim.set_engine(self.engine);
-        Ok(sim)
+        Ok(prototype.insert(sim).fork_replica())
     }
 
     /// Serves several models' request streams concurrently on the
@@ -3319,6 +3207,62 @@ mod tests {
         let bad =
             server.serve(&[TenantStream::new("ghost", vec![], TrafficPattern::Batch)]).unwrap_err();
         assert!(bad.to_string().contains("'ghost'"));
+    }
+
+    #[test]
+    fn deploy_after_serve_rebuilds_the_fabric() {
+        // The first serve builds the fabric prototype; a later deploy
+        // must drop it. The first two residents keep their outputs and
+        // per-request stats, and the new one matches its solo run.
+        let cfg = NodeConfig::default();
+        let input = |i: usize| vec![0.1 * (i + 1) as f32; 16];
+        let requests: Vec<BatchRequest> =
+            (0..3).map(|i| BatchRequest::new(vec![("x".to_string(), input(i))])).collect();
+        let stream = |name: &str, interval: u64| {
+            TenantStream::new(name, requests.clone(), TrafficPattern::Uniform { interval })
+        };
+        let completed = |outcome: &TenantOutcome, name: &str| -> Vec<_> {
+            let model = outcome.model(name).unwrap();
+            assert_eq!(model.completed(), 3, "{name}");
+            model
+                .results
+                .iter()
+                .map(|served| match &served.disposition {
+                    Disposition::Completed { result, .. } => {
+                        (result.outputs.clone(), result.stats.clone())
+                    }
+                    other => panic!("{name}: {other:?}"),
+                })
+                .collect()
+        };
+        for engine in [SimEngine::Reference, SimEngine::Compiled] {
+            for threads in [1, 3] {
+                let catalog = catalog_with(&[("left", 1.0), ("right", -2.0), ("late", 0.5)]);
+                let mut server = TenantServer::functional(catalog, FabricSpec::new(1, 4), &cfg)
+                    .unwrap()
+                    .with_engine(engine)
+                    .with_host_threads(threads);
+                server.deploy("left").unwrap();
+                server.deploy("right").unwrap();
+                let first = server.serve(&[stream("left", 50), stream("right", 70)]).unwrap();
+                server.deploy("late").unwrap();
+                let second = server
+                    .serve(&[stream("left", 50), stream("right", 70), stream("late", 90)])
+                    .unwrap();
+                for name in ["left", "right"] {
+                    assert_eq!(
+                        completed(&first, name),
+                        completed(&second, name),
+                        "{engine:?} x{threads}: {name}"
+                    );
+                }
+                let mut solo = ModelRunner::functional(&tiny_model("late", 16, 0.5), &cfg).unwrap();
+                for (i, (outputs, _)) in completed(&second, "late").iter().enumerate() {
+                    let expect = solo.run(&[("x", input(i))]).unwrap();
+                    assert_eq!(outputs["y"], expect["y"], "{engine:?} x{threads}: request {i}");
+                }
+            }
+        }
     }
 
     #[test]
